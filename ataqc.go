@@ -249,10 +249,10 @@ type Options struct {
 	// scheduler cycles plus predicted ATA pattern cycles. Exhaustion
 	// degrades exactly like a deadline.
 	MaxNodes int
-	// Workers bounds the concurrency of the hybrid strategy's prediction
-	// loop (0 = runtime.GOMAXPROCS(0), 1 = serial). The compiled circuit is
+	// Workers sets the fan-out of the hybrid strategy's prediction pool
+	// (0 = runtime.GOMAXPROCS(0), 1 = one worker). The compiled circuit is
 	// identical for every worker count under an unbounded budget; workers
-	// (and the pattern memoisation they enable) only change compile time.
+	// only change compile time.
 	Workers int
 	// Trace, when non-nil, records the compile's execution timeline and
 	// metrics (see NewTrace). Nil disables tracing at ~zero cost and is the

@@ -41,8 +41,8 @@ type HybridBenchEntry struct {
 // EXPERIMENTS.md for the schema contract.
 type HybridBench struct {
 	// GOMAXPROCS records the host parallelism the numbers were taken at:
-	// on a single-CPU host the speedup is pure memoisation (shared pattern
-	// cache + choice replay); with more CPUs the worker fan-out adds to it.
+	// every worker count shares the per-compile pattern cache, so the
+	// speedup is the worker fan-out alone and needs more than one CPU.
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	Workers    []int              `json:"workers"` // the worker counts swept
 	Entries    []HybridBenchEntry `json:"entries"`
@@ -77,8 +77,8 @@ func RunHybridBench(cfg HybridBenchConfig) (*HybridBench, error) {
 		{"heavy-hex", 36, 0.3},
 	}
 	if !cfg.Quick {
-		// The headline cell: grid-64 / ER-0.5 is where the prediction loop
-		// dominates compile time and the memoised engine must show ≥1.5×.
+		// The headline cell: grid-64 / ER-0.5 is where the prediction pool
+		// dominates compile time.
 		cells = append(cells, cell{"grid", 64, 0.5}, cell{"heavy-hex", 64, 0.3})
 	}
 	out := &HybridBench{GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: []int{1, 8}}

@@ -70,16 +70,16 @@ type Options struct {
 	// deadline. It is the deterministic twin of Deadline — useful in tests
 	// and anywhere wall-clock budgets would flake.
 	MaxNodes int
-	// Workers bounds the concurrency of the hybrid prediction loop: each
-	// greedy checkpoint's ATA prediction is independent, so they fan out
-	// over a worker pool sharing a memoised pattern cache
-	// (internal/swapnet.PatternCache). 0 defaults to runtime.GOMAXPROCS(0);
-	// 1 keeps the original serial loop. The compiled circuit, Stats (except
-	// Elapsed), and selected candidate are byte-identical for every worker
-	// count when the budget is unbounded — workers only change wall-clock.
-	// Under an exhausting budget the parallel pool truncates the candidate
-	// set it evaluated (the degradation ladder is preserved, but which
-	// candidates were scored before exhaustion is timing-dependent).
+	// Workers sets the fan-out of the hybrid prediction pool: each greedy
+	// checkpoint's ATA prediction is independent, so they run on Workers
+	// goroutines sharing the compile's pattern cache. 0 defaults to
+	// runtime.GOMAXPROCS(0); 1 is a pool of one worker. The compiled
+	// circuit, Stats (except Elapsed and the cache hit/miss split), and
+	// selected candidate are byte-identical for every worker count when the
+	// budget is unbounded — workers only change wall-clock. Under an
+	// exhausting budget the pool truncates the candidate set it evaluated
+	// (the degradation ladder is preserved; with more than one worker,
+	// which candidates were scored before exhaustion is timing-dependent).
 	Workers int
 	// Trace, when non-nil, records the compile timeline (phase spans,
 	// per-checkpoint prediction tasks, cache and pool metrics) on the given
@@ -94,9 +94,8 @@ type Options struct {
 	// materialisation, and pure-ATA replay all consult it instead of a
 	// per-compile cache. Sharing is output-safe — cached entries replay
 	// exactly what an uncached run computes (see scoreCheckpoint) — so the
-	// compiled circuit is byte-identical with or without it. Nil keeps the
-	// historical behaviour: Workers>1 builds a private per-compile cache,
-	// Workers=1 runs uncached.
+	// compiled circuit is byte-identical with or without it. Nil makes
+	// CompileContext build a private per-compile cache.
 	PatternCache *swapnet.PatternCache
 }
 
@@ -175,8 +174,7 @@ type Stats struct {
 	SelectedPrefix int
 	// CacheHits/CacheMisses report pattern-cache effectiveness for this
 	// compilation (deltas, so a shared Options.PatternCache does not bleed
-	// other compiles' counters in). Both stay zero in the Workers=1 serial
-	// path unless a shared cache was supplied.
+	// other compiles' counters in). Only ModeHybrid compiles report them.
 	CacheHits   int64
 	CacheMisses int64
 	// CacheTier reports which compilation-cache tier served this result
@@ -248,6 +246,11 @@ func CompileContext(ctx context.Context, a *arch.Arch, problem *graph.Graph, opt
 		}
 	}()
 	opts.applyDefaults()
+	// One pattern cache serves every ATA path of the compile: prediction,
+	// materialisation, ModeATA, and the pure-ATA degradation floor.
+	if opts.PatternCache == nil {
+		opts.PatternCache = swapnet.NewPatternCache(0)
+	}
 	rootAttrs := []obs.Attr{
 		obs.Str("mode", opts.Mode.String()),
 		obs.Int("qubits", a.N()),
@@ -418,7 +421,7 @@ func compileATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Options,
 	defer ph.end()
 	b := circuit.NewBuilder(a, problem.N(), initial)
 	st := swapnet.NewStateFromMapping(a, initial, swapnet.NewEdgeSet(problem))
-	if err := runATARegionsTraced(st, b, opts.Angle, opts.PatternCache, rec.tr, ph.span); err != nil {
+	if err := runATARegions(st, b, opts.Angle, opts.PatternCache, rec.tr, ph.span); err != nil {
 		return nil, err
 	}
 	res := &Result{Circuit: b.C, Initial: b.InitialMapping(), Final: b.CurrentMapping(), Source: "ata"}
@@ -427,23 +430,10 @@ func compileATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Options,
 }
 
 // runATARegions detects the interaction regions of the remaining problem
-// (§6.3) and runs the structured pattern inside each, appending to b.
-func runATARegions(st *swapnet.State, b *circuit.Builder, angle float64) error {
-	return runATARegionsCached(st, b, angle, nil)
-}
-
-// runATARegionsCached is runATARegions through a pattern cache (nil =
-// uncached) — the parallel hybrid engine shares one cache between its
-// prediction workers and the final materialisation, so the winning
-// candidate's ATA suffix replays the dual-prediction choices it already
-// scored instead of recomputing them.
-func runATARegionsCached(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache) error {
-	return runATARegionsTraced(st, b, angle, c, nil, nil)
-}
-
-// runATARegionsTraced is runATARegionsCached with each region's pattern
-// build wrapped in an "ata.region" span under parent (nil trace = no spans).
-func runATARegionsTraced(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache, tr *obs.Trace, parent *obs.Span) error {
+// (§6.3) and runs the structured pattern inside each through the pattern
+// cache c, appending to b. Each region's pattern build is wrapped in an
+// "ata.region" span under parent (nil trace = no spans).
+func runATARegions(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache, tr *obs.Trace, parent *obs.Span) error {
 	regions := detectRegions(st, c)
 	for _, r := range regions {
 		if err := swapnet.ATATraced(st, r, builderEmit(b, angle), c, tr, parent); err != nil {
@@ -489,13 +479,9 @@ func builderEmit(b *circuit.Builder, angle float64) swapnet.EmitFunc {
 // sorted order: component discovery iterates a map, and the emission order
 // is observable (the snake fallback of a grid region can touch qubits
 // outside the region), so without the sort two identical compilations could
-// emit different — equally valid — circuits. A non-nil cache memoises the
+// emit different — equally valid — circuits. The cache memoises the
 // NormalizeRegion calls.
 func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
-	normalize := swapnet.NormalizeRegion
-	if c != nil {
-		normalize = c.NormalizeRegion
-	}
 	edges := st.Want.Edges()
 	if len(edges) == 0 {
 		return nil
@@ -512,7 +498,7 @@ func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
 	var regions []arch.Region
 	//vet:ignore maprange regions are sorted (sortRegions) before any order-sensitive use
 	for _, phys := range compPhys {
-		regions = append(regions, normalize(st.A, arch.EnclosingRegion(st.A, phys)))
+		regions = append(regions, c.NormalizeRegion(st.A, arch.EnclosingRegion(st.A, phys)))
 	}
 	sortRegions(regions)
 	// Merge overlaps to a fixpoint.
@@ -521,7 +507,7 @@ func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
 		for i := 0; i < len(regions) && !merged; i++ {
 			for j := i + 1; j < len(regions); j++ {
 				if regions[i].Overlaps(regions[j]) {
-					regions[i] = normalize(st.A, regions[i].Union(regions[j]))
+					regions[i] = c.NormalizeRegion(st.A, regions[i].Union(regions[j]))
 					regions = append(regions[:j], regions[j+1:]...)
 					merged = true
 					break

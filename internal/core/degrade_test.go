@@ -109,6 +109,57 @@ func TestPredictionBudgetKeepsBestSoFar(t *testing.T) {
 	verifyClean(t, a, p, res)
 }
 
+// TestDegradeCheckpointCountsEvaluated runs out the work budget halfway
+// through prediction: DegradeReason.Checkpoint must count the evaluated
+// checkpoints (the Timeline's entries) at every worker count, and a
+// Workers=1 compile must degrade the same way every time.
+func TestDegradeCheckpointCountsEvaluated(t *testing.T) {
+	a := arch.GridN(36)
+	p := testProblem(t, 36, 0.5, 11)
+	initial := make([]int, p.N())
+	for i := range initial {
+		initial[i] = i
+	}
+	g, err := greedy.Compile(a, p, initial, greedy.Options{Angle: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Compile(a, p, Options{InitialMapping: initial, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxNodes := (g.Cycles + int(full.Stats.WorkUnits)) / 2
+	var first *Result
+	for _, workers := range []int{1, 1, 8} {
+		res, err := Compile(a, p, Options{InitialMapping: initial, MaxNodes: maxNodes, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		d := res.DegradeReason
+		if d.Rung != "best-so-far" {
+			t.Fatalf("workers=%d: want the best-so-far rung, got %+v", workers, d)
+		}
+		if d.Checkpoint != len(res.Timeline.Checkpoints) {
+			t.Fatalf("workers=%d: reason counts %d checkpoints, timeline evaluated %d",
+				workers, d.Checkpoint, len(res.Timeline.Checkpoints))
+		}
+		verifyClean(t, a, p, res)
+		if workers != 1 {
+			continue
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if d != first.DegradeReason {
+			t.Fatalf("workers=1 reasons differ across runs: %+v vs %+v", d, first.DegradeReason)
+		}
+		if !bytes.Equal(qasmOf(t, res), qasmOf(t, first)) {
+			t.Fatal("workers=1 degraded circuits differ across runs")
+		}
+	}
+}
+
 func TestCanceledContextIsAnErrorNotADegrade(t *testing.T) {
 	a := arch.GridN(64)
 	p := testProblem(t, 64, 0.5, 7)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
+	"time"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/circuit"
@@ -93,43 +95,26 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 	oLF := lfPre[len(gates)]
 
 	// --- ATA pattern prediction per checkpoint (§6.3). ---
-	// The loop is governed: the budget is polled before every checkpoint and
-	// charged with each prediction's pattern cycles. Exhaustion mid-loop
-	// keeps whatever candidates were scored — the "best candidate recorded
-	// so far" rung of the degradation ladder. Workers=1 runs the original
-	// serial loop uncached; Workers>1 fans the predictions over a pool
-	// sharing a pattern cache (parallel.go) with identical scores and
-	// tie-breaks, so the selected candidate — and the output circuit — are
-	// the same for any worker count under an unbounded budget.
+	// The pool is governed: the budget is polled before every prediction
+	// and charged with its pattern cycles. Exhaustion mid-pool keeps
+	// whatever candidates were scored — the "best candidate recorded so
+	// far" rung of the degradation ladder.
 	h := &hybridEval{
 		a: a, problem: problem, opts: opts, bud: bud, rec: rec, gates: gates,
 		cxPre: cxPre, lfPre: lfPre, oCycles: oCycles, oCX: oCX, oLF: oLF,
 	}
 	stats := Stats{Checkpoints: len(cps), SelectedPrefix: -1}
 	var (
-		best    *candidate
+		best    *checkpoint
 		dreason DegradeReason
 	)
-	// A caller-supplied cache (CompileCached's warm pattern cache) is
-	// shared by every engine; otherwise the parallel engine builds its own
-	// per-compile cache and the serial engine runs uncached, preserving the
-	// historical paths. cs0 snapshots the counters so shared caches report
+	// cs0 snapshots the counters so a cache shared across compiles reports
 	// per-compile deltas.
 	cache := opts.PatternCache
-	if cache == nil && opts.Workers > 1 {
-		cache = swapnet.NewPatternCache(0)
-	}
-	var cs0 swapnet.CacheStats
-	if cache != nil {
-		cs0 = cache.Stats()
-	}
+	cs0 := cache.Stats()
 	pph := rec.phase("predict")
 	obs.PhaseLabel(bud.ctx, "predict", func(context.Context) {
-		if opts.Workers > 1 {
-			best, dreason, err = h.predictParallel(cps, &stats, cache, pph.span)
-		} else {
-			best, dreason, err = h.predictSerial(cps, &stats, cache, pph.span)
-		}
+		best, dreason, err = h.predict(cps, &stats, pph.span)
 	})
 	pph.end()
 	if err != nil {
@@ -141,10 +126,10 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		return &Result{Circuit: g.Circuit, Initial: g.Initial, Final: g.Final, Source: "greedy",
 			Degraded: !dreason.IsZero(), DegradeReason: dreason, Stats: stats}, nil
 	}
-	stats.SelectedPrefix = best.cp.prefixLen
+	stats.SelectedPrefix = best.prefixLen
 
 	// --- Materialise the winning greedy-prefix + ATA-suffix circuit. ---
-	// The parallel engine's cache flows into materialisation: the winning
+	// The prediction cache flows into materialisation: the winning
 	// candidate's grid pattern choices were memoised while it was scored, so
 	// the ATA suffix replays the recorded decisions instead of re-running
 	// the dual prediction.
@@ -156,10 +141,11 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		// mapping in lockstep without per-gate dispatch or re-validation —
 		// the prefix is verified greedy output, and the assembled circuit is
 		// strict-verified again before Compile returns.
-		b.ReplayPrefix(gates[:best.cp.prefixLen])
-		want := remainingAfterPrefix(problem, gates[:best.cp.prefixLen])
-		st := swapnet.NewStateFromMapping(a, best.cp.l2p, want)
-		mErr = runATARegionsTraced(st, b, opts.Angle, cache, rec.tr, mph.span)
+		b.ReplayPrefix(gates[:best.prefixLen])
+		want := swapnet.NewEdgeSet(problem)
+		removeScheduled(want, gates[:best.prefixLen])
+		st := swapnet.NewStateFromMapping(a, best.l2p, want)
+		mErr = runATARegions(st, b, opts.Angle, cache, rec.tr, mph.span)
 	})
 	mph.end()
 	if mErr != nil {
@@ -167,22 +153,16 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 	}
 	finishCacheStats(&stats, cache, cs0, rec)
 	source := "ata"
-	if best.cp.prefixLen > 0 {
+	if best.prefixLen > 0 {
 		source = "hybrid"
 	}
 	return &Result{Circuit: b.C, Initial: b.InitialMapping(), Final: b.CurrentMapping(), Source: source,
 		Degraded: !dreason.IsZero(), DegradeReason: dreason, Stats: stats}, nil
 }
 
-// candidate is a scored selector entry: a checkpoint and its cost F.
-type candidate struct {
-	cp checkpoint
-	f  float64
-}
-
-// hybridEval carries the selector context shared by the serial and parallel
-// prediction engines: the greedy baseline metrics and the prefix sums that
-// make per-checkpoint scoring O(prediction).
+// hybridEval carries the selector context of the prediction pool: the
+// greedy baseline metrics and the prefix sums that make per-checkpoint
+// scoring O(prediction).
 type hybridEval struct {
 	a       *arch.Arch
 	problem *graph.Graph
@@ -200,12 +180,12 @@ type hybridEval struct {
 // scoreCheckpoint runs one ATA prediction from cp's mapping over want and
 // returns the selector cost F (§6.4), charging the budget with the
 // prediction's pattern cycles. ok=false means the pattern declined the
-// region (the checkpoint is skipped, matching the historical serial loop).
-// The score is independent of the cache's state: a cached grid choice
-// replays the same pattern the uncached dual prediction would pick.
-func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet, c *swapnet.PatternCache) (f float64, ok bool) {
+// region (the checkpoint is evaluated but is no candidate). The score is
+// independent of the pattern cache's state: a cached grid choice replays
+// the same pattern the uncached dual prediction would pick.
+func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
-	pc, err := predictATA(st, h.opts, c)
+	pc, err := predictATA(st, h.opts, h.opts.PatternCache)
 	if err != nil {
 		return 0, false
 	}
@@ -216,58 +196,139 @@ func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet, c *sw
 	return selectorCost(h.opts, cycles, h.oCycles, cx, h.oCX, lf, h.oLF), true
 }
 
-// predictSerial is the Workers=1 engine: the original governed loop,
-// evaluating checkpoints in order (uncached unless a shared cache was
-// supplied — cached scores are identical by the scoreCheckpoint
-// contract). It doubles as the reference the determinism suite compares
-// the parallel engine against.
-func (h *hybridEval) predictSerial(cps []checkpoint, stats *Stats, cache *swapnet.PatternCache, parent *obs.Span) (best *candidate, dreason DegradeReason, err error) {
-	rec := h.rec
-	bestF := 1.0 // pure greedy: fD/oD = 1 and fidelity ratio = 1
-	for i := range cps {
-		if berr := h.bud.interrupt(); berr != nil {
-			if !degradable(berr) {
-				return nil, DegradeReason{}, berr
-			}
-			dreason = degradeReasonFor("best-so-far", berr, i, len(cps), h.bud, h.opts, rec)
-			break
-		}
-		cp := cps[i]
-		want := remainingAfterPrefix(h.problem, h.gates[:cp.prefixLen])
+// predict is the hybrid prediction engine: every checkpoint's ATA
+// prediction is independent (each works on its own State), so they run on
+// a pool of Options.Workers goroutines sharing one pattern cache, and the
+// cheapest candidate is selected (§6.4). Determinism is by construction:
+//
+//   - one feeder walks the checkpoints in ascending prefix order, deriving
+//     each want set from the previous one minus the program gates of the
+//     prefix delta, and clones it only when it feeds that job — so at most
+//     Workers+1 clones are live;
+//   - each job's result lands in its checkpoint's slot, and selection scans
+//     the slots in ascending order with a strict-less comparison, so ties
+//     break the same way for every worker count;
+//   - scores are cache-independent — a cached grid choice replays exactly
+//     the pattern the uncached dual prediction picks;
+//   - budget charges are commutative atomic adds, so WorkUnits does not
+//     depend on the schedule whenever every checkpoint is evaluated.
+//
+// Under an exhausting budget the first worker to observe exhaustion stops
+// the feeder; completed scores still participate in selection (the "best
+// candidate so far" rung of the degradation ladder). With one worker the
+// truncation point is deterministic; with more it depends on timing.
+// Non-degradable interruption (context cancellation) aborts with the error
+// after every worker has exited — the pool never leaks goroutines.
+//
+// Observability: each worker gets its own span (and exporter lane), every
+// prediction a "predictATA" child span, and each job's queue wait (feed to
+// pick-up) and run time land in the pool.queue_wait_us / pool.run_us
+// histograms and the Timeline's per-checkpoint entries.
+func (h *hybridEval) predict(cps []checkpoint, stats *Stats, parent *obs.Span) (best *checkpoint, dreason DegradeReason, err error) {
+	type job struct {
+		i    int // index into cps and timings
+		want *swapnet.EdgeSet
+		fed  time.Time
+	}
+	timings := make([]CheckpointTiming, len(cps))
+	met := h.rec.tr.Metrics()
+	waitHist := met.Histogram("pool.queue_wait_us")
+	runHist := met.Histogram("pool.run_us")
+	var (
+		wg       sync.WaitGroup
+		stopOnce sync.Once
+		mu       sync.Mutex
+		firstErr error
+	)
+	stop := make(chan struct{})
+	jobs := make(chan job)
+	for w := 1; w <= min(h.opts.Workers, len(cps)); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			obs.WorkerLabel(h.bud.ctx, w, func(context.Context) {
+				wspan := h.rec.tr.StartSpan(parent, "worker", obs.Int("worker", w))
+				wspan.SetLane(w)
+				defer wspan.End()
+				for j := range jobs {
+					pick := h.rec.clock.Now()
+					if berr := h.bud.interrupt(); berr != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = berr
+						}
+						mu.Unlock()
+						stopOnce.Do(func() { close(stop) })
+						return
+					}
+					cp := cps[j.i]
+					sp := h.rec.tr.StartSpan(wspan, "predictATA",
+						obs.Int("prefix", cp.prefixLen), obs.Int("cycle", cp.cycle))
+					f, ok := h.scoreCheckpoint(cp, j.want)
+					end := h.rec.clock.Now()
+					sp.SetAttrs(obs.F64("cost", f), obs.Bool("scored", ok))
+					sp.End()
+					wait, run := pick.Sub(j.fed), end.Sub(pick)
+					waitHist.Observe(wait.Microseconds())
+					runHist.Observe(run.Microseconds())
+					timings[j.i] = CheckpointTiming{
+						Prefix: cp.prefixLen, Cycle: cp.cycle,
+						Worker: w, Wait: wait, Run: run,
+						Cost: f, Scored: ok, Evaluated: true,
+					}
+				}
+			})
+		}(w)
+	}
+	want := swapnet.NewEdgeSet(h.problem)
+	prev := 0
+feed:
+	for i, cp := range cps {
+		removeScheduled(want, h.gates[prev:cp.prefixLen])
+		prev = cp.prefixLen
 		if want.Empty() {
 			continue
 		}
-		sp := rec.tr.StartSpan(parent, "predictATA",
-			obs.Int("prefix", cp.prefixLen), obs.Int("cycle", cp.cycle))
-		t0 := rec.clock.Now()
-		f, ok := h.scoreCheckpoint(cp, want, cache)
-		run := rec.clock.Now().Sub(t0)
-		sp.SetAttrs(obs.F64("cost", f), obs.Bool("scored", ok))
-		sp.End()
-		rec.tl.Checkpoints = append(rec.tl.Checkpoints, CheckpointTiming{
-			Prefix: cp.prefixLen, Cycle: cp.cycle, Run: run,
-			Cost: f, Scored: ok, Evaluated: true,
-		})
-		if !ok {
+		select {
+		case jobs <- job{i: i, want: want.Clone(), fed: h.rec.clock.Now()}:
+		case <-stop:
+			break feed
+		}
+	}
+	close(jobs)
+	wg.Wait()
+
+	// Selection: ascending checkpoint order, strict-less. The timeline
+	// keeps the same order, so phase breakdowns are comparable across runs
+	// regardless of which worker ran which job.
+	bestF := 1.0 // pure greedy: fD/oD = 1 and fidelity ratio = 1
+	for i, ct := range timings {
+		if !ct.Evaluated {
+			continue
+		}
+		h.rec.tl.Checkpoints = append(h.rec.tl.Checkpoints, ct)
+		if !ct.Scored {
 			continue
 		}
 		stats.Predictions++
-		if f < bestF {
-			bestF = f
-			best = &candidate{cp: cp, f: f}
+		if ct.Cost < bestF {
+			bestF = ct.Cost
+			best = &cps[i]
 		}
+	}
+	if firstErr != nil {
+		if !degradable(firstErr) {
+			return nil, DegradeReason{}, firstErr
+		}
+		dreason = degradeReasonFor("best-so-far", firstErr, len(h.rec.tl.Checkpoints), len(cps), h.bud, h.opts, h.rec)
 	}
 	return best, dreason, nil
 }
 
 // finishCacheStats copies this compile's pattern-cache counter deltas
 // (relative to the cs0 snapshot taken when the compile began) onto the
-// stats and into the trace's metrics registry (nil cache = uncached
-// serial path, counters stay zero).
+// stats and into the trace's metrics registry.
 func finishCacheStats(stats *Stats, c *swapnet.PatternCache, cs0 swapnet.CacheStats, rec *recorder) {
-	if c == nil {
-		return
-	}
 	cs := c.Stats()
 	stats.CacheHits, stats.CacheMisses = cs.Hits-cs0.Hits, cs.Misses-cs0.Misses
 	met := rec.tr.Metrics()
@@ -276,16 +337,14 @@ func finishCacheStats(stats *Stats, c *swapnet.PatternCache, cs0 swapnet.CacheSt
 	met.Counter("cache.evictions").Add(cs.Evictions - cs0.Evictions)
 }
 
-// remainingAfterPrefix returns the problem edges not scheduled within the
-// given greedy gate prefix.
-func remainingAfterPrefix(problem *graph.Graph, prefix []circuit.Gate) *swapnet.EdgeSet {
-	want := swapnet.NewEdgeSet(problem)
-	for _, g := range prefix {
+// removeScheduled removes from want the program edges the given greedy
+// gates schedule.
+func removeScheduled(want *swapnet.EdgeSet, gates []circuit.Gate) {
+	for _, g := range gates {
 		if g.Kind == circuit.GateZZ || g.Kind == circuit.GateZZSwap {
 			want.Remove(g.Tag)
 		}
 	}
-	return want
 }
 
 // prediction aggregates the ATA completion estimate over the detected

@@ -42,7 +42,7 @@ func comparableStats(s Stats) Stats {
 // TestParallelDeterminism pins the tentpole contract: for every
 // architecture family and workload class, the compiled circuit, the
 // governance stats, and the selected checkpoint are byte-identical whether
-// the prediction loop runs serially (Workers=1) or fanned out (Workers 2,
+// the prediction pool runs one worker (Workers=1) or fans out (Workers 2,
 // 8) over the shared pattern cache. The suite runs under -race in CI, so
 // it doubles as the data-race witness for the cache and the atomic budget.
 func TestParallelDeterminism(t *testing.T) {

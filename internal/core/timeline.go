@@ -24,12 +24,10 @@ type CheckpointTiming struct {
 	// Prefix and Cycle identify the checkpoint (see Stats.SelectedPrefix).
 	Prefix int `json:"prefix"`
 	Cycle  int `json:"cycle"`
-	// Worker is the 1-based pool worker that ran the prediction; 0 means
-	// the serial (Workers=1) engine.
+	// Worker is the 1-based pool worker that ran the prediction.
 	Worker int `json:"worker"`
 	// Wait is the queue time between the job being fed to the pool and a
-	// worker picking it up (always 0 in the serial engine); Run is the
-	// prediction's own duration.
+	// worker picking it up; Run is the prediction's own duration.
 	Wait time.Duration `json:"waitNs"`
 	Run  time.Duration `json:"runNs"`
 	// Cost is the selector cost F the prediction produced; meaningful only
@@ -106,8 +104,9 @@ type DegradeReason struct {
 	// the candidates scored before exhaustion) or "pure-ata" (the Theorem
 	// 6.1 linear-depth floor).
 	Rung string `json:"rung"`
-	// Checkpoint is how many prediction checkpoints had been evaluated when
-	// the budget tripped; -1 when the trip preceded prediction entirely.
+	// Checkpoint is how many checkpoints had been evaluated (ran a
+	// prediction, scored or not) when the budget tripped — the length of
+	// Timeline.Checkpoints; -1 when the trip preceded prediction entirely.
 	Checkpoint int `json:"checkpoint"`
 	// Checkpoints is the total selector candidates that existed.
 	Checkpoints int `json:"checkpoints"`

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/ata-pattern/ataqc/internal/circuit"
@@ -92,15 +93,14 @@ func (p Parity) Vars() []int {
 
 // Key returns a canonical map key for the parity ("" for the zero parity).
 func (p Parity) Key() string {
-	vs := p.Vars()
-	if len(vs) == 0 {
-		return ""
+	var buf []byte
+	for _, v := range p.Vars() {
+		if len(buf) > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return strings.Join(parts, ",")
+	return string(buf)
 }
 
 // Term is one normal-form entry of a phase polynomial: the parity support,

@@ -77,8 +77,8 @@ type Phase struct {
 }
 
 // CheckpointTiming is one hybrid checkpoint's prediction telemetry: which
-// pool worker ran it (0 = the serial engine), how long it waited in the
-// queue versus ran, and the selector cost it produced.
+// pool worker ran it (1-based), how long it waited in the queue versus
+// ran, and the selector cost it produced.
 type CheckpointTiming struct {
 	Prefix    int
 	Cycle     int
