@@ -11,6 +11,7 @@ import (
 	"github.com/ata-pattern/ataqc/internal/circuit"
 	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/greedy"
+	"github.com/ata-pattern/ataqc/internal/noise"
 	"github.com/ata-pattern/ataqc/internal/obs"
 	"github.com/ata-pattern/ataqc/internal/swapnet"
 )
@@ -78,31 +79,12 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 	// candidate, which is what guarantees Theorem 6.1.
 	cps = append([]checkpoint{{prefixLen: 0, l2p: initial, cycle: 0}}, cps...)
 
-	// Prefix sums over the greedy circuit for O(1) per-checkpoint metrics.
-	gates := g.Circuit.Gates
-	cxPre := make([]int, len(gates)+1)
-	lfPre := make([]float64, len(gates)+1)
-	for i, gt := range gates {
-		cxPre[i+1] = cxPre[i] + gt.Kind.CXCost()
-		lf := 0.0
-		if opts.Noise != nil && gt.Kind.TwoQubit() {
-			lf = float64(gt.Kind.CXCost()) * math.Log1p(-opts.Noise.EdgeError(gt.Q0, gt.Q1))
-		}
-		lfPre[i+1] = lfPre[i] + lf
-	}
-	oCycles := g.Cycles
-	oCX := cxPre[len(gates)]
-	oLF := lfPre[len(gates)]
-
 	// --- ATA pattern prediction per checkpoint (§6.3). ---
 	// The pool is governed: the budget is polled before every prediction
 	// and charged with its pattern cycles. Exhaustion mid-pool keeps
 	// whatever candidates were scored — the "best candidate recorded so
 	// far" rung of the degradation ladder.
-	h := &hybridEval{
-		a: a, problem: problem, opts: opts, bud: bud, rec: rec, gates: gates,
-		cxPre: cxPre, lfPre: lfPre, oCycles: oCycles, oCX: oCX, oLF: oLF,
-	}
+	h := newHybridEval(a, problem, g, opts, bud, rec)
 	stats := Stats{Checkpoints: len(cps), SelectedPrefix: -1}
 	var (
 		best    *checkpoint
@@ -141,9 +123,9 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		// mapping in lockstep without per-gate dispatch or re-validation —
 		// the prefix is verified greedy output, and the assembled circuit is
 		// strict-verified again before Compile returns.
-		b.ReplayPrefix(gates[:best.prefixLen])
+		b.ReplayPrefix(h.gates[:best.prefixLen])
 		want := swapnet.NewEdgeSet(problem)
-		removeScheduled(want, gates[:best.prefixLen])
+		removeScheduled(want, h.gates[:best.prefixLen])
 		st := swapnet.NewStateFromMapping(a, best.l2p, want)
 		mErr = runATARegions(st, b, opts.Angle, cache, rec.tr, mph.span)
 	})
@@ -170,11 +152,35 @@ type hybridEval struct {
 	bud     *budget
 	rec     *recorder
 	gates   []circuit.Gate
+	lfTab   []float64 // logFidTable of the compile
 	cxPre   []int
 	lfPre   []float64
 	oCycles int
 	oCX     int
 	oLF     float64
+}
+
+// newHybridEval builds the selector context of greedy result g: prefix
+// sums of CX and log-fidelity over its circuit, and its totals as the
+// pure-greedy baseline.
+func newHybridEval(a *arch.Arch, problem *graph.Graph, g *greedy.Result, opts Options, bud *budget, rec *recorder) *hybridEval {
+	gates := g.Circuit.Gates
+	h := &hybridEval{
+		a: a, problem: problem, opts: opts, bud: bud, rec: rec, gates: gates,
+		lfTab: logFidTable(a, opts.Noise),
+		cxPre: make([]int, len(gates)+1), lfPre: make([]float64, len(gates)+1),
+		oCycles: g.Cycles,
+	}
+	for i, gt := range gates {
+		h.cxPre[i+1] = h.cxPre[i] + gt.Kind.CXCost()
+		lf := 0.0
+		if h.lfTab != nil && gt.Kind.TwoQubit() {
+			lf = float64(gt.Kind.CXCost()) * h.lfTab[gt.Q0*a.N()+gt.Q1]
+		}
+		h.lfPre[i+1] = h.lfPre[i] + lf
+	}
+	h.oCX, h.oLF = h.cxPre[len(gates)], h.lfPre[len(gates)]
+	return h
 }
 
 // scoreCheckpoint runs one ATA prediction from cp's mapping over want and
@@ -185,7 +191,7 @@ type hybridEval struct {
 // the same pattern the uncached dual prediction would pick.
 func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
-	pc, err := predictATA(st, h.opts, h.opts.PatternCache)
+	pc, err := predictATA(st, h.lfTab, h.opts.PatternCache)
 	if err != nil {
 		return 0, false
 	}
@@ -356,11 +362,10 @@ type prediction struct {
 	logFid float64
 }
 
-func predictATA(st *swapnet.State, opts Options, c *swapnet.PatternCache) (prediction, error) {
+func predictATA(st *swapnet.State, lfTab []float64, c *swapnet.PatternCache) (prediction, error) {
 	var out prediction
 	for _, r := range detectRegions(st, c) {
-		var cnt predictCounter
-		cnt.opts = &opts
+		cnt := predictCounter{lfTab: lfTab, nPhys: st.A.N()}
 		if err := swapnet.ATAWithCache(st, r, cnt.emit, c); err != nil {
 			return out, err
 		}
@@ -371,8 +376,7 @@ func predictATA(st *swapnet.State, opts Options, c *swapnet.PatternCache) (predi
 		out.logFid += cnt.logFid
 	}
 	if !st.Want.Empty() {
-		var cnt predictCounter
-		cnt.opts = &opts
+		cnt := predictCounter{lfTab: lfTab, nPhys: st.A.N()}
 		if err := swapnet.ATAWithCache(st, arch.FullRegion(st.A), cnt.emit, c); err != nil {
 			return out, err
 		}
@@ -383,8 +387,28 @@ func predictATA(st *swapnet.State, opts Options, c *swapnet.PatternCache) (predi
 	return out, nil
 }
 
+// logFidTable returns log1p(-err) of every coupled physical pair (p, q),
+// at p*N+q in both orientations, or nil without a noise model. Every
+// two-qubit gate the greedy scheduler and the patterns emit sits on a
+// coupling, so prediction reads this table instead of the model's map.
+func logFidTable(a *arch.Arch, m *noise.Model) []float64 {
+	if m == nil {
+		return nil
+	}
+	n := a.N()
+	tab := make([]float64, n*n)
+	for _, e := range a.G.Edges() {
+		lf := math.Log1p(-m.EdgeError(e.U, e.V))
+		tab[e.U*n+e.V], tab[e.V*n+e.U] = lf, lf
+	}
+	return tab
+}
+
+// predictCounter sums a prediction's cycles, CX and log-fidelity; each
+// gate contributes its CX count times its pair's logFidTable entry.
 type predictCounter struct {
-	opts   *Options
+	lfTab  []float64
+	nPhys  int
 	cycles int
 	cx     int
 	logFid float64
@@ -392,24 +416,22 @@ type predictCounter struct {
 
 func (c *predictCounter) emit(s swapnet.Step) {
 	c.cycles += s.Depth()
-	edgeLF := func(p, q int, n int) {
-		if c.opts.Noise != nil {
-			c.logFid += float64(n) * math.Log1p(-c.opts.Noise.EdgeError(p, q))
-		}
-	}
 	for _, g := range s.Compute {
+		n := 2
 		if g.Fused {
-			c.cx += 3
-			edgeLF(g.P, g.Q, 3)
-		} else {
-			c.cx += 2
-			edgeLF(g.P, g.Q, 2)
+			n = 3
+		}
+		c.cx += n
+		if c.lfTab != nil {
+			c.logFid += float64(n) * c.lfTab[g.P*c.nPhys+g.Q]
 		}
 	}
 	for _, l := range s.Swaps {
 		c.cx += 3 * len(l)
-		for _, e := range l {
-			edgeLF(e.U, e.V, 3)
+		if c.lfTab != nil {
+			for _, e := range l {
+				c.logFid += 3 * c.lfTab[e.U*c.nPhys+e.V]
+			}
 		}
 	}
 }

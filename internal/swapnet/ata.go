@@ -85,6 +85,13 @@ func ATA(st *State, region arch.Region, emit EmitFunc) error {
 // runs only the winning pattern. The emitted step sequence is identical to
 // ATA's for every input; a nil cache is exactly ATA.
 func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache) error {
+	if st.scr == nil {
+		st.scr = scratchPool.Get().(*scratch)
+		defer func() {
+			scratchPool.Put(st.scr)
+			st.scr = nil
+		}()
+	}
 	var ri *regionInfo
 	if c != nil {
 		ri = c.structural(st.A, region)
@@ -114,9 +121,9 @@ func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache)
 			return nil
 		}
 		var cg, cs Counter
-		stG := st.Clone()
+		stG := st.fork(0)
 		gridATA(stG, region, cg.Emit, nil)
-		stS := st.Clone()
+		stS := st.fork(1)
 		snakeATA(stS, region, cs.Emit, nil)
 		if snakeBeatsGrid(stG, stS, cg, cs) {
 			snakeATA(st, region, emit, nil)
@@ -146,9 +153,9 @@ func snakeBeatsGrid(stG, stS *State, cg, cs Counter) bool {
 }
 
 // gridATACached runs the grid dual prediction through the cache: a choice
-// hit executes only the winning pattern; a miss predicts both on clones
-// (recording steps), adopts the winner's final state, replays its steps,
-// and memoises the decision with its counts.
+// hit executes only the winning pattern; a miss predicts both on copies
+// (recording steps), takes over the winner's final state, replays its
+// steps, and memoises the decision with its counts.
 func gridATACached(st *State, ri *regionInfo, emit EmitFunc, c *PatternCache) {
 	fp := st.A.Fingerprint()
 	occ, want := ri.stateHash(st)
@@ -160,24 +167,24 @@ func gridATACached(st *State, ri *regionInfo, emit EmitFunc, c *PatternCache) {
 		}
 		return
 	}
-	stG := st.Clone()
-	var rg stepRecorder
+	b := st.scratch()
+	rg, rs := &b.recs[0], &b.recs[1]
+	rg.reset()
+	rs.reset()
+	stG := st.fork(0)
 	gridATA(stG, ri.norm, rg.emit, c)
-	stS := st.Clone()
-	var rs stepRecorder
+	stS := st.fork(1)
 	snakeATA(stS, ri.norm, rs.emit, c)
 	snake := snakeBeatsGrid(stG, stS, rg.c, rs.c)
-	winner, winSteps := stG, rg.steps
-	counts := rg.c
+	winner, rec := stG, rg
 	if snake {
-		winner, winSteps = stS, rs.steps
-		counts = rs.c
+		winner, rec = stS, rs
 	}
-	st.adopt(winner)
-	for _, s := range winSteps {
+	winner.copyTo(st)
+	for _, s := range rec.steps {
 		emit(s)
 	}
-	c.choicePut(fp, ri.norm, occ, want, &gridChoice{snake: snake, counts: counts})
+	c.choicePut(fp, ri.norm, occ, want, &gridChoice{snake: snake, counts: rec.c})
 }
 
 // GridStructuredATA runs the unit-structured grid pattern (§3.1 + App. A)

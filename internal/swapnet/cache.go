@@ -2,11 +2,11 @@ package swapnet
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
+	"github.com/ata-pattern/ataqc/internal/graph"
 )
 
 // PatternCache memoises the region-derived structures the ATA patterns
@@ -24,7 +24,7 @@ import (
 // (common in benchmarks) share them. The cache is safe for concurrent use:
 // it is sharded, each shard guarded by a mutex around a size-capped LRU.
 // Cached slices are read-only by contract — the patterns only ever read
-// them, and the choice replay emits freshly allocated steps.
+// them; the choice replay emits steps copied out of the pattern buffers.
 type PatternCache struct {
 	shards   [pcShardCount]pcShard
 	shardCap [pcShardCount]int
@@ -269,48 +269,42 @@ func (c *PatternCache) NormalizeRegion(a *arch.Arch, r arch.Region) arch.Region 
 // the snake restriction is contiguous both candidate patterns stay inside
 // the region, so only region-local state matters; otherwise snakeATA falls
 // back to the full snake and the whole mapping and want set participate.
-// The want digest XORs per-edge hashes so it is independent of the edge
-// set's iteration order.
+// The want digest XORs per-edge hashes, so it depends only on which edges
+// are wanted.
 func (ri *regionInfo) stateHash(st *State) (occ, want uint64) {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v int) {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	occ = fnvOffset
 	local := ri.snakeOK || st.A.Snake == nil
 	if local {
 		for _, q := range ri.qubits {
-			w(q)
-			w(st.P2L[q])
+			occ = fnvWord(fnvWord(occ, uint64(q)), uint64(st.P2L[q]))
 		}
 	} else {
 		for q, l := range st.P2L {
-			w(q)
-			w(l)
+			occ = fnvWord(fnvWord(occ, uint64(q)), uint64(l))
 		}
 	}
-	occ = h.Sum64()
-	//vet:ignore maprange per-edge hashes are XOR-combined, order-independent
-	for e := range st.Want.m {
-		if local {
-			pu, pv := st.L2P[e.U], st.L2P[e.V]
-			if !ri.inRegion[pu] || !ri.inRegion[pv] {
-				continue
-			}
+	st.Want.each(func(e graph.Edge) {
+		if local && (!ri.inRegion[st.L2P[e.U]] || !ri.inRegion[st.L2P[e.V]]) {
+			return
 		}
-		eh := fnv.New64a()
-		u := uint64(e.U)<<32 | uint64(uint32(e.V))
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		eh.Write(buf[:])
-		want ^= eh.Sum64()
-	}
+		want ^= fnvWord(fnvOffset, uint64(e.U)<<32|uint64(uint32(e.V)))
+	})
 	return occ, want
+}
+
+// FNV-1a (64-bit), fed one little-endian word at a time: the digest
+// hash/fnv's New64a computes over the same bytes, without the hasher.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= (w >> (8 * i)) & 0xff
+		h *= fnvPrime
+	}
+	return h
 }
 
 // choiceGet looks up a memoised grid pattern choice.
@@ -327,14 +321,42 @@ func (c *PatternCache) choicePut(fp uint64, r arch.Region, occ, want uint64, ch 
 	c.put(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want}, ch)
 }
 
-// stepRecorder buffers emitted steps (the patterns allocate every step's
-// slices fresh, so retaining them is safe) while counting them.
+// stepRecorder buffers emitted steps while counting them. Emitted slices
+// are valid only during the emit call (EmitFunc), so it copies each step
+// into flat arenas; the recorded steps stay valid for its lifetime.
 type stepRecorder struct {
-	steps []Step
-	c     Counter
+	steps  []Step
+	gates  []PhysGate
+	edges  []graph.Edge
+	layers [][]graph.Edge
+	c      Counter
+}
+
+func (r *stepRecorder) reset() {
+	r.steps, r.gates, r.edges, r.layers = r.steps[:0], r.gates[:0], r.edges[:0], r.layers[:0]
+	r.c = Counter{}
 }
 
 func (r *stepRecorder) emit(s Step) {
-	r.steps = append(r.steps, s)
 	r.c.Emit(s)
+	rec := Step{ParallelSwaps: s.ParallelSwaps}
+	if len(s.Compute) > 0 {
+		i := len(r.gates)
+		r.gates = append(r.gates, s.Compute...)
+		rec.Compute = r.gates[i:len(r.gates):len(r.gates)]
+	}
+	if len(s.Swaps) > 0 {
+		li := len(r.layers)
+		for _, l := range s.Swaps {
+			var cp []graph.Edge
+			if len(l) > 0 {
+				i := len(r.edges)
+				r.edges = append(r.edges, l...)
+				cp = r.edges[i:len(r.edges):len(r.edges)]
+			}
+			r.layers = append(r.layers, cp)
+		}
+		rec.Swaps = r.layers[li:len(r.layers):len(r.layers)]
+	}
+	r.steps = append(r.steps, rec)
 }

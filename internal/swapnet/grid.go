@@ -56,20 +56,18 @@ func gridATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 		linear(st, units, linearOpts{}, emit)
 		return
 	}
-	var all []int
-	for _, u := range units {
-		all = append(all, u...)
-	}
-	sc := newScope(st, all)
+	sc := newScope(st, units...)
+	b := st.scratch()
 	R := len(units)
 	for t := 0; t < R; t++ {
 		if sc.done() {
 			return
 		}
-		var pairs [][2]int
+		pairs := b.pairs[:0]
 		for u := t % 2; u+1 < R; u += 2 {
 			pairs = append(pairs, [2]int{u, u + 1})
 		}
+		b.pairs = pairs
 		if len(pairs) == 0 {
 			continue
 		}
@@ -78,15 +76,16 @@ func gridATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 			break
 		}
 		// Unit exchange: one vertical SWAP layer per paired rows.
-		var layer []graph.Edge
+		layer := b.swaps[:0]
 		for _, pr := range pairs {
-			a, b := units[pr[0]], units[pr[1]]
-			for i := 0; i < len(a) && i < len(b); i++ {
-				st.ApplySwap(a[i], b[i])
-				layer = append(layer, graph.NewEdge(a[i], b[i]))
+			ua, ub := units[pr[0]], units[pr[1]]
+			for i := 0; i < len(ua) && i < len(ub); i++ {
+				st.ApplySwap(ua[i], ub[i])
+				layer = append(layer, graph.NewEdge(ua[i], ub[i]))
 			}
 		}
-		emit(Step{Swaps: [][]graph.Edge{layer}})
+		b.swaps = layer
+		emit(b.step(nil, layer, false))
 	}
 	if !sc.done() {
 		// Residual intra-unit pairs (short regions can finish the
@@ -127,25 +126,13 @@ func bipartiteGrid(st *State, units [][]int, pairs [][2]int, sc *scope, emit Emi
 			C = l
 		}
 	}
+	b := st.scratch()
 	for cyc := 0; cyc < C; cyc++ {
 		if sc.done() {
 			return
 		}
 		start := cyc % 2
-		var step Step
-		var swapStep Step
-		var swapLayer []graph.Edge
-		rotate := func(row []int, parity int) {
-			for i := parity; i+1 < len(row); i += 2 {
-				if tag, ok := st.WantedPhys(row[i], row[i+1]); ok {
-					swapStep.Compute = append(swapStep.Compute, st.emitCompute(sc, row[i], row[i+1], tag, true))
-					st.ApplySwap(row[i], row[i+1])
-					continue
-				}
-				st.ApplySwap(row[i], row[i+1])
-				swapLayer = append(swapLayer, graph.NewEdge(row[i], row[i+1]))
-			}
-		}
+		vertical, fused, swaps := b.gates[0][:0], b.gates[1][:0], b.swaps[:0]
 		for _, pr := range pairs {
 			rowA, rowB := units[pr[0]], units[pr[1]]
 			m := len(rowA)
@@ -154,26 +141,39 @@ func bipartiteGrid(st *State, units [][]int, pairs [][2]int, sc *scope, emit Emi
 			}
 			for i := 0; i < m; i++ {
 				if tag, ok := st.WantedPhys(rowA[i], rowB[i]); ok {
-					step.Compute = append(step.Compute, st.emitCompute(sc, rowA[i], rowB[i], tag, false))
+					vertical = append(vertical, st.emitCompute(sc, rowA[i], rowB[i], tag, false))
 				}
 			}
 			if cyc == C-1 {
 				continue // final alignment needs no further rotation
 			}
-			rotate(rowA, start)
-			rotate(rowB, 1-start)
+			fused, swaps = st.rotateRow(sc, rowA, start, fused, swaps)
+			fused, swaps = st.rotateRow(sc, rowB, 1-start, fused, swaps)
 		}
-		if len(step.Compute) > 0 {
-			emit(step)
+		b.gates[0], b.gates[1], b.swaps = vertical, fused, swaps
+		if len(vertical) > 0 {
+			emit(Step{Compute: vertical})
 		}
-		if len(swapLayer) > 0 {
-			swapStep.Swaps = append(swapStep.Swaps, swapLayer)
-			swapStep.ParallelSwaps = true // fused ops and plain swaps share the layer
-		}
-		if len(swapStep.Compute) > 0 || len(swapStep.Swaps) > 0 {
-			emit(swapStep)
+		// Fused ops and plain swaps share the layer.
+		if len(fused) > 0 || len(swaps) > 0 {
+			emit(b.step(fused, swaps, true))
 		}
 	}
+}
+
+// rotateRow performs one odd-even swap layer of row starting at parity,
+// appending the SWAPs whose occupants are a wanted pair to fused (as
+// unified program gates) and the rest to swaps.
+func (st *State) rotateRow(sc *scope, row []int, parity int, fused []PhysGate, swaps []graph.Edge) ([]PhysGate, []graph.Edge) {
+	for i := parity; i+1 < len(row); i += 2 {
+		if tag, ok := st.WantedPhys(row[i], row[i+1]); ok {
+			fused = append(fused, st.emitCompute(sc, row[i], row[i+1], tag, true))
+		} else {
+			swaps = append(swaps, graph.NewEdge(row[i], row[i+1]))
+		}
+		st.ApplySwap(row[i], row[i+1])
+	}
+	return fused, swaps
 }
 
 // snakeATA runs the linear pattern over the architecture's Hamiltonian

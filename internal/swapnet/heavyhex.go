@@ -60,51 +60,58 @@ func heavyHexATA(st *State, region arch.Region, emit EmitFunc) {
 	}
 	sc := newScope(st, all)
 
+	b := st.scratch()
 	// offLayer schedules, after each linear round, the wanted gates between
 	// off-path qubits and the occupants currently at their anchors.
 	offLayer := func(int) {
-		var step Step
-		busy := make(map[int]bool)
+		compute := b.gates[1][:0]
 		for _, o := range offs {
-			if busy[o.q] {
+			if b.busy[o.q] {
 				continue
 			}
 			for _, ai := range o.anchors {
 				p := path[ai]
-				if busy[p] {
+				if b.busy[p] {
 					continue
 				}
 				if tag, ok := st.WantedPhys(o.q, p); ok {
-					step.Compute = append(step.Compute, st.emitCompute(sc, o.q, p, tag, false))
-					busy[o.q], busy[p] = true, true
+					compute = append(compute, st.emitCompute(sc, o.q, p, tag, false))
+					b.busy[o.q], b.busy[p] = true, true
 					break
 				}
 			}
 		}
-		if len(step.Compute) > 0 {
-			emit(step)
+		b.gates[1] = compute
+		for _, g := range compute {
+			b.busy[g.P], b.busy[g.Q] = false, false
+		}
+		if len(compute) > 0 {
+			emit(Step{Compute: compute})
 		}
 	}
 
 	for pass := 0; pass < maxHeavyHexPasses && !sc.done(); pass++ {
 		if pass > 0 {
 			// Promote off-path occupants onto the path in one SWAP layer.
-			var layer []graph.Edge
-			busy := make(map[int]bool)
+			layer := b.swaps[:0]
 			for _, o := range offs {
 				for _, ai := range o.anchors {
 					p := path[ai]
-					if busy[p] {
+					if b.busy[p] {
 						continue
 					}
 					st.ApplySwap(o.q, p)
 					layer = append(layer, graph.NewEdge(o.q, p))
-					busy[p] = true
+					b.busy[p] = true
 					break
 				}
 			}
+			b.swaps = layer
+			for _, e := range layer {
+				b.busy[e.U], b.busy[e.V] = false, false
+			}
 			if len(layer) > 0 {
-				emit(Step{Swaps: [][]graph.Edge{layer}})
+				emit(b.step(nil, layer, false))
 			}
 		}
 		linear(st, [][]int{path}, linearOpts{
@@ -129,16 +136,9 @@ func routeStragglers(st *State, sc *scope, regionQubits []int, emit EmitFunc) {
 	for _, q := range regionQubits {
 		inRegion[q] = true
 	}
-	for !sc.done() {
-		// Pick any remaining edge deterministically.
-		var tag graph.Edge
-		found := false
-		//vet:ignore maprange explicit min-scan, order-independent
-		for e := range sc.rel {
-			if !found || e.U < tag.U || (e.U == tag.U && e.V < tag.V) {
-				tag, found = e, true
-			}
-		}
+	for {
+		// Take the smallest remaining edge: deterministic.
+		tag, found := sc.rel.first()
 		if !found {
 			return
 		}

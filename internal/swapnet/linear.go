@@ -50,20 +50,16 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 	}
 	sc := opts.sc
 	if sc == nil {
-		var all []int
-		for _, ln := range lines {
-			all = append(all, ln...)
-		}
-		sc = newScope(st, all)
+		sc = newScope(st, lines...)
 	}
+	b := st.scratch()
 	for k := 0; k < rounds; k++ {
 		if sc.done() {
 			// Callers with an extraLayer merge its work into sc, so an
 			// exhausted scope always means the whole phase is finished.
 			return
 		}
-		var step Step
-		var swapLayer []graph.Edge
+		compute, swaps := b.gates[0][:0], b.swaps[:0]
 		last := k == rounds-1 && !opts.preserveDynamics
 		for _, ln := range lines {
 			for i := k % 2; i+1 < len(ln); i += 2 {
@@ -72,16 +68,16 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 					if last {
 						// Final round: no dynamics needed afterwards, so
 						// emit a bare program gate and skip its SWAP.
-						step.Compute = append(step.Compute, st.emitCompute(sc, p, q, tag, false))
+						compute = append(compute, st.emitCompute(sc, p, q, tag, false))
 						continue
 					}
 					if opts.unfused {
-						step.Compute = append(step.Compute, st.emitCompute(sc, p, q, tag, false))
+						compute = append(compute, st.emitCompute(sc, p, q, tag, false))
 						st.ApplySwap(p, q)
-						swapLayer = append(swapLayer, graph.NewEdge(p, q))
+						swaps = append(swaps, graph.NewEdge(p, q))
 						continue
 					}
-					step.Compute = append(step.Compute, st.emitCompute(sc, p, q, tag, true))
+					compute = append(compute, st.emitCompute(sc, p, q, tag, true))
 					st.ApplySwap(p, q)
 					continue
 				}
@@ -89,18 +85,15 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 					continue
 				}
 				st.ApplySwap(p, q)
-				swapLayer = append(swapLayer, graph.NewEdge(p, q))
+				swaps = append(swaps, graph.NewEdge(p, q))
 			}
 		}
-		if len(swapLayer) > 0 {
-			step.Swaps = append(step.Swaps, swapLayer)
-			// All pairs of a round share parity, so the plain SWAPs are
-			// qubit-disjoint from the unified gate+SWAPs: one cycle total
-			// (in the unfused mode the gates genuinely precede the swaps).
-			step.ParallelSwaps = !opts.unfused
-		}
-		if len(step.Compute) > 0 || len(step.Swaps) > 0 {
-			emit(step)
+		b.gates[0], b.swaps = compute, swaps
+		// All pairs of a round share parity, so the plain SWAPs are
+		// qubit-disjoint from the unified gate+SWAPs: one cycle total (in
+		// the unfused mode the gates genuinely precede the swaps).
+		if len(compute) > 0 || len(swaps) > 0 {
+			emit(b.step(compute, swaps, !opts.unfused))
 		}
 		if opts.extraLayer != nil {
 			opts.extraLayer(k)

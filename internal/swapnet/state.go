@@ -14,62 +14,123 @@ package swapnet
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/graph"
 )
 
 // EdgeSet is a mutable set of logical problem edges (the gates still to be
-// scheduled — the paper's candidate gate list).
+// scheduled — the paper's candidate gate list). For an n-qubit problem it
+// is a dense bitset over ordered logical pairs — edge {U, V} with U < V is
+// bit U*n+V — plus a live count, so Has and Remove are one word operation
+// each and Clone is one copy. Only canonical (U < V) edges between qubits
+// in [0, n) can be members: reversed, self-loop and out-of-range edges are
+// never present. The bitset takes n²/8 bytes.
 type EdgeSet struct {
-	m map[graph.Edge]struct{}
+	n    int
+	bits []uint64
+	live int
 }
 
 // NewEdgeSet returns the edge set of g.
 func NewEdgeSet(g *graph.Graph) *EdgeSet {
-	s := &EdgeSet{m: make(map[graph.Edge]struct{}, g.M())}
+	s := &EdgeSet{}
+	s.reset(g.N())
 	for _, e := range g.Edges() {
-		s.m[e] = struct{}{}
+		if _, ok := s.index(e); ok {
+			s.add(e)
+		}
 	}
 	return s
 }
 
+// reset empties s and sizes it for an n-qubit problem, reusing its words.
+func (s *EdgeSet) reset(n int) {
+	w := (n*n + 63) / 64
+	if cap(s.bits) < w {
+		s.bits = make([]uint64, w)
+	} else {
+		s.bits = s.bits[:w]
+		clear(s.bits)
+	}
+	s.n, s.live = n, 0
+}
+
+// index returns e's bit, or false when e cannot be a member.
+func (s *EdgeSet) index(e graph.Edge) (int, bool) {
+	if e.U < 0 || e.U >= e.V || e.V >= s.n {
+		return 0, false
+	}
+	return e.U*s.n + e.V, true
+}
+
 // Has reports membership.
-func (s *EdgeSet) Has(e graph.Edge) bool { _, ok := s.m[e]; return ok }
+func (s *EdgeSet) Has(e graph.Edge) bool {
+	i, ok := s.index(e)
+	return ok && s.bits[i>>6]&(1<<(i&63)) != 0
+}
+
+// add inserts e, which must be a canonical in-range edge.
+func (s *EdgeSet) add(e graph.Edge) {
+	i := e.U*s.n + e.V
+	if s.bits[i>>6]&(1<<(i&63)) == 0 {
+		s.bits[i>>6] |= 1 << (i & 63)
+		s.live++
+	}
+}
 
 // Remove deletes e, reporting whether it was present.
 func (s *EdgeSet) Remove(e graph.Edge) bool {
-	if _, ok := s.m[e]; !ok {
+	i, ok := s.index(e)
+	if !ok || s.bits[i>>6]&(1<<(i&63)) == 0 {
 		return false
 	}
-	delete(s.m, e)
+	s.bits[i>>6] &^= 1 << (i & 63)
+	s.live--
 	return true
 }
 
 // Len returns the number of remaining edges.
-func (s *EdgeSet) Len() int { return len(s.m) }
+func (s *EdgeSet) Len() int { return s.live }
 
 // Empty reports whether no edges remain.
-func (s *EdgeSet) Empty() bool { return len(s.m) == 0 }
+func (s *EdgeSet) Empty() bool { return s.live == 0 }
 
-// Edges returns the remaining edges in unspecified order.
-func (s *EdgeSet) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(s.m))
-	//vet:ignore maprange documented unspecified order; callers sort or fold order-independently (core.detectRegions)
-	for e := range s.m {
-		out = append(out, e)
+// each calls f on every member in ascending (U, V) order.
+func (s *EdgeSet) each(f func(graph.Edge)) {
+	for wi, w := range s.bits {
+		for w != 0 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			f(graph.Edge{U: i / s.n, V: i % s.n})
+			w &= w - 1
+		}
 	}
+}
+
+// first returns the smallest member in (U, V) order.
+func (s *EdgeSet) first() (graph.Edge, bool) {
+	for wi, w := range s.bits {
+		if w != 0 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			return graph.Edge{U: i / s.n, V: i % s.n}, true
+		}
+	}
+	return graph.Edge{}, false
+}
+
+// Edges returns the remaining edges in ascending (U, V) order.
+func (s *EdgeSet) Edges() []graph.Edge {
+	out := make([]graph.Edge, 0, s.live)
+	s.each(func(e graph.Edge) { out = append(out, e) })
 	return out
 }
 
 // Clone returns an independent copy.
 func (s *EdgeSet) Clone() *EdgeSet {
-	c := &EdgeSet{m: make(map[graph.Edge]struct{}, len(s.m))}
-	//vet:ignore maprange map-to-map copy, order-independent
-	for e := range s.m {
-		c.m[e] = struct{}{}
-	}
-	return c
+	return &EdgeSet{n: s.n, bits: append([]uint64(nil), s.bits...), live: s.live}
 }
 
 // PhysGate is a program gate scheduled on a physical pair. Fused gates are
@@ -83,7 +144,8 @@ type PhysGate struct {
 
 // Step is one pattern cycle: a compute layer and zero or more SWAP layers
 // executed after it. Swap layers are already applied to the State when the
-// step is emitted.
+// step is emitted. An emitted Step's slices are pattern-owned buffers,
+// valid only until the EmitFunc returns (see EmitFunc).
 type Step struct {
 	Compute []PhysGate
 	Swaps   [][]graph.Edge
@@ -114,7 +176,9 @@ func (s Step) Depth() int {
 	return d
 }
 
-// EmitFunc consumes pattern steps.
+// EmitFunc consumes pattern steps. A Step's slices (Compute, Swaps and
+// each swap layer) are valid only during the call: the patterns refill the
+// same buffers for the next step, so a sink that keeps a step must copy it.
 type EmitFunc func(Step)
 
 // State is the mutable execution state a pattern advances: the placement of
@@ -124,6 +188,72 @@ type State struct {
 	L2P  []int // logical -> physical
 	P2L  []int // physical -> logical; -1 for empty slots
 	Want *EdgeSet
+
+	scr *scratch // pattern buffers; shared only with st's own forks
+}
+
+// scratch is the memory a State's patterns reuse instead of allocating per
+// round: the one live scope, the buffers every emitted Step is built in,
+// and the two State copies and step recorders of the grid dual prediction.
+// ATAWithCache borrows one from scratchPool for the duration of the call.
+type scratch struct {
+	sc       scope
+	logicals []int
+	gates    [2][]PhysGate // a step's compute layer; bipartiteGrid fills two at once
+	swaps    []graph.Edge  // a step's swap layer
+	layers   [1][]graph.Edge
+	pairs    [][2]int
+	busy     []bool // per physical qubit, all false between uses
+	forks    [2]State
+	recs     [2]stepRecorder
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch returns st's pattern buffers, allocating them on first use.
+func (st *State) scratch() *scratch {
+	if st.scr == nil {
+		st.scr = new(scratch)
+	}
+	if n := st.A.N(); len(st.scr.busy) < n {
+		st.scr.busy = make([]bool, n)
+	}
+	return st.scr
+}
+
+// fork makes slot i of st's scratch a copy of st that reuses the slot's
+// memory and shares st's scratch, so the copy must not run while st (or
+// the other slot) does.
+func (st *State) fork(i int) *State {
+	b := st.scratch()
+	f := &b.forks[i]
+	st.copyTo(f)
+	f.scr = b
+	return f
+}
+
+// copyTo overwrites dst's placement and want set with st's, reusing dst's
+// memory (dst.Want may be nil).
+func (st *State) copyTo(dst *State) {
+	dst.A = st.A
+	dst.L2P = append(dst.L2P[:0], st.L2P...)
+	dst.P2L = append(dst.P2L[:0], st.P2L...)
+	if dst.Want == nil {
+		dst.Want = new(EdgeSet)
+	}
+	dst.Want.n, dst.Want.live = st.Want.n, st.Want.live
+	dst.Want.bits = append(dst.Want.bits[:0], st.Want.bits...)
+}
+
+// step wraps a compute layer and an optional swap layer, both built in the
+// scratch buffers, as a Step.
+func (b *scratch) step(compute []PhysGate, swaps []graph.Edge, parallel bool) Step {
+	s := Step{Compute: compute}
+	if len(swaps) > 0 {
+		b.layers[0] = swaps
+		s.Swaps, s.ParallelSwaps = b.layers[:1], parallel
+	}
+	return s
 }
 
 // ValidateMapping checks that l2p is an injection of logical qubits into
@@ -197,14 +327,7 @@ func NewStateFromMapping(a *arch.Arch, l2p []int, want *EdgeSet) *State {
 	return &State{A: a, L2P: cp, P2L: p2l, Want: want}
 }
 
-// adopt replaces st's mutable contents with o's. The cached grid pattern
-// uses it to keep the winning clone's final state instead of replaying the
-// winner's swaps onto st a second time; o must not be used afterwards.
-func (st *State) adopt(o *State) {
-	st.L2P, st.P2L, st.Want = o.L2P, o.P2L, o.Want
-}
-
-// Clone returns a deep copy (used by the predictor).
+// Clone returns an independent deep copy with its own pattern buffers.
 func (st *State) Clone() *State {
 	c := &State{A: st.A, Want: st.Want.Clone()}
 	c.L2P = append([]int(nil), st.L2P...)
@@ -216,11 +339,19 @@ func (st *State) Clone() *State {
 // pair (p, q), if any.
 func (st *State) WantedPhys(p, q int) (graph.Edge, bool) {
 	lp, lq := st.P2L[p], st.P2L[q]
-	if lp < 0 || lq < 0 {
+	if lp > lq {
+		lp, lq = lq, lp
+	}
+	// Has, unrolled to keep this inlinable: lp < lq unless both slots are
+	// empty (-1).
+	w := st.Want
+	if lp < 0 || lq >= w.n {
 		return graph.Edge{}, false
 	}
-	e := graph.NewEdge(lp, lq)
-	return e, st.Want.Has(e)
+	if k := lp*w.n + lq; w.bits[k>>6]&(1<<(k&63)) == 0 {
+		return graph.Edge{}, false
+	}
+	return graph.Edge{U: lp, V: lq}, true
 }
 
 // ApplySwap exchanges the logical occupants of physical p and q.
@@ -237,71 +368,44 @@ func (st *State) ApplySwap(p, q int) {
 
 // scope tracks the subset of wanted edges a pattern phase is responsible
 // for, so phases terminate as soon as their own work is done even while the
-// global want set still holds edges for other regions or phases.
+// global want set still holds edges for other regions or phases. It is a
+// bitset in the want set's index space, borrowed from the State's scratch:
+// a State has at most one live scope.
 type scope struct {
-	rel map[graph.Edge]struct{}
+	rel EdgeSet
 }
 
 // newScope collects the wanted edges whose both endpoints currently reside
 // on the given physical qubits.
-func newScope(st *State, phys []int) *scope {
-	sc := &scope{rel: make(map[graph.Edge]struct{})}
-	logicals := make([]int, 0, len(phys))
-	for _, p := range phys {
-		if l := st.P2L[p]; l >= 0 {
-			logicals = append(logicals, l)
+func newScope(st *State, phys ...[]int) *scope {
+	b := st.scratch()
+	sc := &b.sc
+	w := st.Want
+	sc.rel.reset(w.n)
+	logicals := b.logicals[:0]
+	for _, ps := range phys {
+		for _, p := range ps {
+			if l := st.P2L[p]; l >= 0 && l < w.n {
+				logicals = append(logicals, l)
+			}
 		}
 	}
-	for i := 0; i < len(logicals); i++ {
-		for j := i + 1; j < len(logicals); j++ {
-			e := graph.NewEdge(logicals[i], logicals[j])
-			if st.Want.Has(e) {
-				sc.rel[e] = struct{}{}
+	slices.Sort(logicals)
+	b.logicals = logicals
+	// Ascending logicals make every (x, y) below a canonical edge, bit x*n+y.
+	for i, x := range logicals {
+		row := x * w.n
+		for _, y := range logicals[i+1:] {
+			if k := row + y; w.bits[k>>6]&(1<<(k&63)) != 0 {
+				sc.rel.add(graph.Edge{U: x, V: y})
 			}
 		}
 	}
 	return sc
 }
 
-// newCrossScope collects wanted edges with one endpoint on physA and the
-// other on physB.
-func newCrossScope(st *State, physA, physB []int) *scope {
-	sc := &scope{rel: make(map[graph.Edge]struct{})}
-	var la, lb []int
-	for _, p := range physA {
-		if l := st.P2L[p]; l >= 0 {
-			la = append(la, l)
-		}
-	}
-	for _, p := range physB {
-		if l := st.P2L[p]; l >= 0 {
-			lb = append(lb, l)
-		}
-	}
-	for _, x := range la {
-		for _, y := range lb {
-			if x == y {
-				continue
-			}
-			e := graph.NewEdge(x, y)
-			if st.Want.Has(e) {
-				sc.rel[e] = struct{}{}
-			}
-		}
-	}
-	return sc
-}
-
-func (sc *scope) computed(e graph.Edge) { delete(sc.rel, e) }
-func (sc *scope) done() bool            { return len(sc.rel) == 0 }
-
-// merge absorbs another scope's relevant set.
-func (sc *scope) merge(o *scope) {
-	//vet:ignore maprange map-to-map copy, order-independent
-	for e := range o.rel {
-		sc.rel[e] = struct{}{}
-	}
-}
+func (sc *scope) computed(e graph.Edge) { sc.rel.Remove(e) }
+func (sc *scope) done() bool            { return sc.rel.Empty() }
 
 // emitCompute records a wanted gate on (p,q): removes it from Want, updates
 // the scope, and returns the PhysGate. Call only after WantedPhys reported
