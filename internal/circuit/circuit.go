@@ -100,15 +100,21 @@ func New(n int) *Circuit { return &Circuit{NQubits: n} }
 // Append adds gates, validating qubit indices.
 func (c *Circuit) Append(gs ...Gate) {
 	for _, g := range gs {
-		if g.Q0 < 0 || g.Q0 >= c.NQubits {
-			panic(fmt.Sprintf("circuit: qubit %d out of range", g.Q0))
-		}
-		if g.Kind.TwoQubit() {
-			if g.Q1 < 0 || g.Q1 >= c.NQubits || g.Q1 == g.Q0 {
-				panic(fmt.Sprintf("circuit: invalid 2q gate %v on (%d,%d)", g.Kind, g.Q0, g.Q1))
-			}
-		}
+		c.check(g)
 		c.Gates = append(c.Gates, g)
+	}
+}
+
+// check panics unless g's qubits lie in range and a two-qubit gate's
+// operands are distinct — the contract Append enforces.
+func (c *Circuit) check(g Gate) {
+	if g.Q0 < 0 || g.Q0 >= c.NQubits {
+		panic(fmt.Sprintf("circuit: qubit %d out of range", g.Q0))
+	}
+	if g.Kind.TwoQubit() {
+		if g.Q1 < 0 || g.Q1 >= c.NQubits || g.Q1 == g.Q0 {
+			panic(fmt.Sprintf("circuit: invalid 2q gate %v on (%d,%d)", g.Kind, g.Q0, g.Q1))
+		}
 	}
 }
 
@@ -201,54 +207,102 @@ func (c *Circuit) GateCount() map[Kind]int {
 	return m
 }
 
-// Decompose returns the circuit expanded into the CX + {H, RX, RZ} basis.
-// ZZ(θ) becomes CX·RZ(θ)·CX (the Fig 2d template); SWAP becomes 3 CX;
-// ZZSwap(θ) becomes CX(a,b)·RZ(b,θ)... see zzSwapTemplate.
-func (c *Circuit) Decompose() *Circuit {
-	out := New(c.NQubits)
+// Expand returns g in the CX + {H, RX, RZ} basis, written into the
+// caller-owned buf (the result aliases it, so it is valid until the next
+// Expand into the same buffer). It is the one home of the decomposition
+// templates:
+//
+//   - ZZ(θ) on (a,b) → CX(a,b) · RZ(θ) on b · CX(a,b), the Fig 2d template.
+//   - SWAP on (a,b) → CX(a,b) · CX(b,a) · CX(a,b).
+//   - ZZSwap(θ) on (a,b) → CX(a,b) · RZ(θ) on b · CX(b,a) · CX(a,b): the
+//     middle rotation commutes through to merge with the SWAP's ladder, so
+//     the pair costs 3 CX — the gate-unifying trick the paper credits to
+//     2QAN and that the structured patterns get for free (a gate layer
+//     immediately followed by a SWAP layer on the same pairs, Fig 6).
+//   - Every other gate is already in the basis and is returned as is.
+//
+// Expand does not validate qubit indices; the Circuit methods that stream
+// through it reject out-of-range gates the way Append does.
+func (g Gate) Expand(buf *[4]Gate) []Gate {
+	a, b := g.Q0, g.Q1
+	switch g.Kind {
+	case GateZZ:
+		buf[0] = Gate{Kind: GateCNOT, Q0: a, Q1: b}
+		buf[1] = Gate{Kind: GateRZ, Q0: b, Q1: -1, Angle: g.Angle}
+		buf[2] = Gate{Kind: GateCNOT, Q0: a, Q1: b}
+		return buf[:3]
+	case GateSwap:
+		buf[0] = Gate{Kind: GateCNOT, Q0: a, Q1: b}
+		buf[1] = Gate{Kind: GateCNOT, Q0: b, Q1: a}
+		buf[2] = Gate{Kind: GateCNOT, Q0: a, Q1: b}
+		return buf[:3]
+	case GateZZSwap:
+		buf[0] = Gate{Kind: GateCNOT, Q0: a, Q1: b}
+		buf[1] = Gate{Kind: GateRZ, Q0: b, Q1: -1, Angle: g.Angle}
+		buf[2] = Gate{Kind: GateCNOT, Q0: b, Q1: a}
+		buf[3] = Gate{Kind: GateCNOT, Q0: a, Q1: b}
+		return buf[:4]
+	default:
+		buf[0] = g
+		return buf[:1]
+	}
+}
+
+// Decomposed calls yield with every gate of the circuit's CX-basis
+// expansion (see Expand), in order, without materialising it, and stops
+// early when yield returns false. A gate that Append would reject panics
+// with Append's message before it reaches yield.
+func (c *Circuit) Decomposed(yield func(Gate) bool) {
+	var buf [4]Gate
 	for _, g := range c.Gates {
-		switch g.Kind {
-		case GateZZ:
-			out.Append(
-				Gate{Kind: GateCNOT, Q0: g.Q0, Q1: g.Q1},
-				Gate{Kind: GateRZ, Q0: g.Q1, Q1: -1, Angle: g.Angle},
-				Gate{Kind: GateCNOT, Q0: g.Q0, Q1: g.Q1},
-			)
-		case GateSwap:
-			out.Append(
-				Gate{Kind: GateCNOT, Q0: g.Q0, Q1: g.Q1},
-				Gate{Kind: GateCNOT, Q0: g.Q1, Q1: g.Q0},
-				Gate{Kind: GateCNOT, Q0: g.Q0, Q1: g.Q1},
-			)
-		case GateZZSwap:
-			out.Append(zzSwapTemplate(g.Q0, g.Q1, g.Angle)...)
-		default:
-			out.Append(g)
+		for _, e := range g.Expand(&buf) {
+			c.check(e)
+			if !yield(e) {
+				return
+			}
 		}
 	}
+}
+
+// Decompose returns the circuit expanded into the CX + {H, RX, RZ} basis
+// as a new circuit (see Expand for the templates). Metrics, verification
+// and QASM output stream the expansion through Decomposed instead; this
+// materialised form is for consumers that replay the circuit many times,
+// such as the simulators.
+func (c *Circuit) Decompose() *Circuit {
+	var buf [4]Gate
+	size := 0
+	for _, g := range c.Gates {
+		size += len(g.Expand(&buf))
+	}
+	out := &Circuit{NQubits: c.NQubits, Gates: make([]Gate, 0, size)}
+	c.Decomposed(func(g Gate) bool {
+		out.Gates = append(out.Gates, g)
+		return true
+	})
 	return out
 }
 
-// zzSwapTemplate implements exp(-i θ/2 Z⊗Z) followed by SWAP in 3 CX:
-//
-//	CX(a,b) · [RZ(θ) on b] · CX(b,a) · CX(a,b)
-//
-// The middle rotation commutes through to merge with the SWAP's ladder, so
-// the pair costs 3 CX — the gate-unifying trick the paper credits to 2QAN
-// and that the structured patterns get for free (gate layer immediately
-// followed by a SWAP layer on the same pairs, Fig 6).
-func zzSwapTemplate(a, b int, theta float64) []Gate {
-	return []Gate{
-		{Kind: GateCNOT, Q0: a, Q1: b},
-		{Kind: GateRZ, Q0: b, Q1: -1, Angle: theta},
-		{Kind: GateCNOT, Q0: b, Q1: a},
-		{Kind: GateCNOT, Q0: a, Q1: b},
-	}
-}
-
 // DecomposedDepth returns Depth() after decomposition into CX + 1q gates —
-// the paper's reported circuit-depth metric.
-func (c *Circuit) DecomposedDepth() int { return c.Decompose().Depth() }
+// the paper's reported circuit-depth metric — streaming the expansion.
+func (c *Circuit) DecomposedDepth() int {
+	avail := make([]int, c.NQubits)
+	depth := 0
+	c.Decomposed(func(g Gate) bool {
+		t := avail[g.Q0]
+		if g.Kind.TwoQubit() && avail[g.Q1] > t {
+			t = avail[g.Q1]
+		}
+		t++
+		avail[g.Q0] = t
+		if g.Kind.TwoQubit() {
+			avail[g.Q1] = t
+		}
+		depth = max(depth, t)
+		return true
+	})
+	return depth
+}
 
 // Compact relabels the circuit onto the dense qubit set it actually
 // touches, returning the remapped circuit and the old-to-new index map.

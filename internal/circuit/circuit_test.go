@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,6 +100,27 @@ func TestAppendValidation(t *testing.T) {
 			}()
 			c.Append(bad)
 		}()
+	}
+	// The streaming paths never materialise through Append, but they must
+	// reject the same gates with the panic Decompose's Append raises on the
+	// first offending expanded gate.
+	for _, tc := range []struct {
+		bad  Gate
+		want string
+	}{
+		{Gate{Kind: GateSwap, Q0: 0, Q1: 0}, "circuit: invalid 2q gate cx on (0,0)"},
+		{Gate{Kind: GateSwap, Q0: 0, Q1: 5}, "circuit: invalid 2q gate cx on (0,5)"},
+		{Gate{Kind: GateZZ, Q0: 2, Q1: 0}, "circuit: qubit 2 out of range"},
+		{Gate{Kind: GateH, Q0: -1, Q1: -1}, "circuit: qubit -1 out of range"},
+	} {
+		bad := &Circuit{NQubits: 2, Gates: []Gate{NewSwap(0, 1), tc.bad}}
+		mustPanicWith(t, "Decompose", tc.want, func() { bad.Decompose() })
+		mustPanicWith(t, "DecomposedDepth", tc.want, func() { bad.DecomposedDepth() })
+		var out bytes.Buffer
+		mustPanicWith(t, "WriteQASM", tc.want, func() { bad.WriteQASM(&out) })
+		if out.Len() != 0 {
+			t.Fatalf("WriteQASM wrote %d bytes before rejecting %+v", out.Len(), tc.bad)
+		}
 	}
 }
 

@@ -9,14 +9,16 @@ import (
 )
 
 // WriteQASM emits the circuit as OpenQASM 2.0 after decomposition into the
-// CX + {H, RX, RZ} basis, so the output runs on any QASM toolchain.
+// CX + {H, RX, RZ} basis, so the output runs on any QASM toolchain. The
+// decomposition is streamed, never materialised. A gate Append would reject
+// panics before anything is written.
 func (c *Circuit) WriteQASM(w io.Writer) error {
-	d := c.Decompose()
+	c.Decomposed(func(Gate) bool { return true }) // validate before writing
 	if _, err := fmt.Fprintf(w, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\n", c.NQubits); err != nil {
 		return err
 	}
-	for _, g := range d.Gates {
-		var err error
+	var err error
+	c.Decomposed(func(g Gate) bool {
 		switch g.Kind {
 		case GateH:
 			_, err = fmt.Fprintf(w, "h q[%d];\n", g.Q0)
@@ -29,11 +31,9 @@ func (c *Circuit) WriteQASM(w io.Writer) error {
 		default:
 			err = fmt.Errorf("circuit: %v survived decomposition", g.Kind)
 		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // maxQASMQubits bounds qreg declarations so a malformed or hostile input

@@ -282,16 +282,7 @@ func CompileContext(ctx context.Context, a *arch.Arch, problem *graph.Graph, opt
 	place := rec.phase("place")
 	if initial == nil {
 		initial = greedy.InitialMapping(a, problem)
-		// Refine with a bounded hill-climb; passes shrink with size to keep
-		// compilation near-linear (Fig 26).
-		passes := 2048 / (problem.N() + 1)
-		if passes < 1 {
-			passes = 1
-		}
-		if passes > 6 {
-			passes = 6
-		}
-		initial = greedy.RefinePlacement(a, problem, initial, passes)
+		initial = greedy.RefinePlacement(a, problem, initial, refinePasses(problem.N()))
 	}
 	place.end()
 	if opts.Mode != ModeGreedy && !swapnet.HasATA(a) {
@@ -380,6 +371,11 @@ func degradeToATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Option
 	res.DegradeReason = reason
 	return res, nil
 }
+
+// refinePasses bounds the placement hill-climb for an n-qubit problem:
+// six passes for small problems, shrinking with size down to one, so that
+// compile time stays near-linear at scale (Fig 26).
+func refinePasses(n int) int { return min(max(2048/(n+1), 1), 6) }
 
 // Measure computes the evaluation metrics of a compiled circuit.
 func Measure(c *circuit.Circuit, nm *noise.Model) Metrics {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
+	"github.com/ata-pattern/ataqc/internal/circuit"
 	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/noise"
 )
@@ -187,5 +189,62 @@ func TestGoldenSerialPins(t *testing.T) {
 				t.Fatalf("pin mismatch:\n got  %+v\n want %+v", got, want)
 			}
 		})
+	}
+}
+
+// materialisedQASM renders c the way WriteQASM did before it streamed:
+// build the whole CX-basis circuit, then print it gate by gate.
+func materialisedQASM(t *testing.T, c *circuit.Circuit) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\n", c.NQubits)
+	for _, g := range c.Decompose().Gates {
+		switch g.Kind {
+		case circuit.GateH:
+			fmt.Fprintf(&b, "h q[%d];\n", g.Q0)
+		case circuit.GateRX:
+			fmt.Fprintf(&b, "rx(%.12g) q[%d];\n", g.Angle, g.Q0)
+		case circuit.GateRZ:
+			fmt.Fprintf(&b, "rz(%.12g) q[%d];\n", g.Angle, g.Q0)
+		case circuit.GateCNOT:
+			fmt.Fprintf(&b, "cx q[%d],q[%d];\n", g.Q0, g.Q1)
+		default:
+			t.Fatalf("%v survived decomposition", g.Kind)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestGoldenQASMStreamedMatchesMaterialised: on every golden case, the
+// streamed WriteQASM is byte-identical to printing the materialised
+// decomposition, and the streamed metrics equal the materialised ones.
+func TestGoldenQASMStreamedMatchesMaterialised(t *testing.T) {
+	for _, c := range goldenCases() {
+		res, err := Compile(c.a, c.p, Options{Workers: 1, Noise: c.nm})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got, want := qasmOf(t, res), materialisedQASM(t, res.Circuit); !bytes.Equal(got, want) {
+			t.Fatalf("%s: streamed QASM differs from the materialised rendering", c.name)
+		}
+		if got, want := res.Circuit.DecomposedDepth(), res.Circuit.Decompose().Depth(); got != want {
+			t.Fatalf("%s: streamed depth %d, materialised %d", c.name, got, want)
+		}
+	}
+}
+
+// TestRefinePassesClamp: the named pass bound is the clamp it replaced.
+func TestRefinePassesClamp(t *testing.T) {
+	for n := 0; n <= 4096; n++ {
+		want := 2048 / (n + 1)
+		if want < 1 {
+			want = 1
+		}
+		if want > 6 {
+			want = 6
+		}
+		if got := refinePasses(n); got != want {
+			t.Fatalf("refinePasses(%d) = %d, want %d", n, got, want)
+		}
 	}
 }

@@ -123,17 +123,17 @@ func CrosstalkPairs(a *arch.Arch) [][2]graph.Edge {
 // of log(1-e) over all decomposed gates plus a decoherence term for the
 // circuit duration. Larger (closer to zero) is better.
 func (m *Model) LogFidelity(c *circuit.Circuit) float64 {
-	d := c.Decompose()
 	lf := 0.0
-	for _, g := range d.Gates {
+	c.Decomposed(func(g circuit.Gate) bool {
 		switch g.Kind {
 		case circuit.GateCNOT:
 			lf += math.Log1p(-m.EdgeError(g.Q0, g.Q1))
 		default:
 			lf += math.Log1p(-m.SingleQubit[g.Q0])
 		}
-	}
-	lf += -m.IdlePerCycle * float64(d.Depth()) * float64(activeQubits(c))
+		return true
+	})
+	lf += -m.IdlePerCycle * float64(c.DecomposedDepth()) * float64(activeQubits(c))
 	return lf
 }
 

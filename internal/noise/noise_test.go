@@ -118,3 +118,33 @@ func TestFidelityPrefersGoodLinks(t *testing.T) {
 		t.Fatal("fidelity does not prefer the better link")
 	}
 }
+
+// TestLogFidelityMatchesMaterialised: streaming the decomposition gives
+// bit-for-bit the estimate computed over the materialised circuit (same
+// summation order, same depth term).
+func TestLogFidelityMatchesMaterialised(t *testing.T) {
+	a := arch.Grid(3, 3)
+	m := Synthetic(a, 5)
+	c := circuit.New(a.N())
+	c.Append(
+		circuit.Gate{Kind: circuit.GateH, Q0: 4, Q1: -1},
+		circuit.NewZZ(0, 1, 0.3, graph.NewEdge(0, 1)),
+		circuit.NewSwap(1, 4),
+		circuit.Gate{Kind: circuit.GateZZSwap, Q0: 4, Q1: 5, Angle: 0.9},
+		circuit.Gate{Kind: circuit.GateRX, Q0: 8, Q1: -1, Angle: 0.2},
+		circuit.NewZZ(3, 4, -0.4, graph.NewEdge(3, 4)),
+	)
+	d := c.Decompose()
+	want := 0.0
+	for _, g := range d.Gates {
+		if g.Kind == circuit.GateCNOT {
+			want += math.Log1p(-m.EdgeError(g.Q0, g.Q1))
+		} else {
+			want += math.Log1p(-m.SingleQubit[g.Q0])
+		}
+	}
+	want += -m.IdlePerCycle * float64(d.Depth()) * float64(activeQubits(c))
+	if got := m.LogFidelity(c); got != want {
+		t.Fatalf("LogFidelity %v, materialised %v", got, want)
+	}
+}

@@ -280,10 +280,9 @@ func runDepthConsistency(p *Pass) []Diagnostic {
 	}
 	// Independent ASAP recomputation over the decomposed gate stream: a
 	// gate starts one past the latest finish time among its operands.
-	d := p.Circuit.Decompose()
-	finish := make([]int, d.NQubits)
+	finish := make([]int, p.Circuit.NQubits)
 	depth := 0
-	for _, g := range d.Gates {
+	p.Circuit.Decomposed(func(g circuit.Gate) bool {
 		start := finish[g.Q0]
 		if g.Kind.TwoQubit() && finish[g.Q1] > start {
 			start = finish[g.Q1]
@@ -296,7 +295,8 @@ func runDepthConsistency(p *Pass) []Diagnostic {
 		if end > depth {
 			depth = end
 		}
-	}
+		return true
+	})
 	if depth != p.ReportedDepth {
 		return []Diagnostic{report(DepthConsistency, -1,
 			"scheduler reports depth %d but recomputed ASAP depth is %d", p.ReportedDepth, depth)}

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -349,4 +350,35 @@ func TestVerifiedCompilerOutputsAlwaysClean(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 36}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDepthConsistencyStreams: the analyzer recomputes depth from the
+// streamed decomposition, so a run allocates only the finish-time slice
+// and Run's status list (materialising the decomposition cost 12 on this
+// circuit), and it still rejects a gate Append would, with Append's panic.
+func TestDepthConsistencyStreams(t *testing.T) {
+	a := arch.Grid(4, 4)
+	p := graph.GnpConnected(16, 0.4, rand.New(rand.NewSource(9)))
+	res, err := core.Compile(a, p, core.Options{Mode: core.ModeGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := &verify.Pass{Circuit: res.Circuit, Arch: a, Problem: p, Initial: res.Initial,
+		Final: res.Final, ReportedDepth: res.Metrics.Depth, CheckDepth: true}
+	if diags := verify.Run(pass, verify.DepthConsistency); len(diags) != 0 {
+		t.Fatalf("clean compile flagged: %v", diags)
+	}
+	const ceiling = 2
+	if allocs := testing.AllocsPerRun(20, func() { verify.Run(pass, verify.DepthConsistency) }); allocs > ceiling {
+		t.Fatalf("depth-consistency run allocates %v times, ceiling %d", allocs, ceiling)
+	}
+
+	bad := &verify.Pass{Circuit: &circuit.Circuit{NQubits: 2, Gates: []circuit.Gate{swap(0, 1), swap(0, 5)}},
+		ReportedDepth: 6, CheckDepth: true}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "circuit: invalid 2q gate cx on (0,5)") {
+			t.Fatalf("out-of-range gate: recovered %v, want Append's panic", r)
+		}
+	}()
+	verify.Run(bad, verify.DepthConsistency)
 }
