@@ -17,7 +17,6 @@ import (
 	"runtime/pprof"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
-	"github.com/ata-pattern/ataqc/internal/bench"
 	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/obs"
 	"github.com/ata-pattern/ataqc/internal/solver"
@@ -31,8 +30,6 @@ func main() {
 		bipartite = flag.Bool("bipartite", false, "solve the 2xUnit bipartite sub-problem instead of the clique")
 		maxNodes  = flag.Int("maxnodes", 1<<22, "search node budget (negative = unbounded, e.g. -maxnodes -1)")
 		symmetry  = flag.Bool("symmetry", false, "canonicalize states under line/grid automorphisms (same optimal depth, smaller search)")
-		reference = flag.Bool("reference", false, "use the pre-optimization reference engine (slow; for comparisons)")
-		benchJSON = flag.String("bench-json", "", "also write the run as a BENCH_solver.json-schema record to this file")
 		timeout   = flag.Duration("timeout", 0, "wall-clock search budget, e.g. 30s (0 = unbounded)")
 		traceOut  = flag.String("trace", "", "record the search's execution trace (solver.astar span, explored/open/closed metrics) to this file")
 		traceFmt  = flag.String("trace-format", "chrome", "trace format: chrome (load in ui.perfetto.dev), jsonl, or text")
@@ -66,7 +63,6 @@ func main() {
 
 	n := a.N()
 	var p *graph.Graph
-	instance := "clique"
 	if *bipartite {
 		if *family != "grid" || *rows != 2 {
 			log.Fatal("-bipartite requires -arch grid -rows 2")
@@ -77,7 +73,6 @@ func main() {
 				p.AddEdge(i, j)
 			}
 		}
-		instance = "bipartite"
 	} else {
 		p = graph.Complete(n)
 	}
@@ -104,13 +99,7 @@ func main() {
 		tr = obs.New()
 	}
 	opts := solver.Options{MaxNodes: *maxNodes, Symmetry: *symmetry, Trace: tr}
-	var res *solver.Result
-	var err error
-	if *reference {
-		res, err = solver.ReferenceSolve(ctx, a, p, nil, opts)
-	} else {
-		res, err = solver.SolveContext(ctx, a, p, nil, opts)
-	}
+	res, err := solver.SolveContext(ctx, a, p, nil, opts)
 	if *traceOut != "" {
 		// The span records the abandoned search too, so write the trace
 		// before bailing on the error.
@@ -148,28 +137,6 @@ func main() {
 			}
 		}
 		fmt.Println()
-	}
-	if *benchJSON != "" {
-		engine := bench.SolverEnginePacked
-		if *reference {
-			engine = bench.SolverEngineReference
-		} else if *symmetry {
-			engine = bench.SolverEnginePackedSym
-		}
-		doc := &bench.SolverBench{Entries: []bench.SolverBenchEntry{
-			bench.SolverEntryFor(fmt.Sprintf("%s/%s", a.Name, instance), a, p, engine, res),
-		}}
-		f, ferr := os.Create(*benchJSON)
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		if werr := doc.WriteJSON(f); werr != nil {
-			log.Fatal(werr)
-		}
-		if cerr := f.Close(); cerr != nil {
-			log.Fatal(cerr)
-		}
-		fmt.Fprintf(os.Stderr, "bench record: %s\n", *benchJSON)
 	}
 }
 

@@ -158,6 +158,24 @@ func TestRunConvergenceSmoke(t *testing.T) {
 	}
 }
 
+// TestRunSemaAuditSmoke: every compiler's output on the quick sweep (two
+// families, two densities, two sizes, one trial) must pass the sema audit.
+func TestRunSemaAuditSmoke(t *testing.T) {
+	r, err := RunSemaAudit(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 6 {
+		t.Fatalf("%d rows, want one per method", len(r.Rows))
+	}
+	for _, row := range r.Rows {
+		if row[1] != "8" || row[2] != "8" || row[3] != "0" || row[4] != "0" {
+			t.Fatalf("%s: circuits/pass/fail/findings = %s/%s/%s/%s, want 8/8/0/0",
+				row[0], row[1], row[2], row[3], row[4])
+		}
+	}
+}
+
 func TestAverageStatsAverages(t *testing.T) {
 	a := arch.GridN(8)
 	w := Workload{Name: "two-copies", Graphs: []*graph.Graph{graph.Path(8), graph.Path(8)}}

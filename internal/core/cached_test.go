@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/cachestore"
@@ -232,6 +234,119 @@ func TestCompileCachedDifferentialSuite(t *testing.T) {
 			t.Fatalf("%s: post-restart tier = %q, want %q", in.name, res.Stats.CacheTier, wantTier)
 		}
 		assertSameResult(t, in.name, "disk", in.want, res)
+	}
+}
+
+// TestCompileCachedWarmRestart gates the persistent cache end to end on
+// eight daemon-default requests across every architecture family: a cold
+// pass over an empty directory, a simulated daemon restart (fresh memory
+// tier over the same directory), a warm replay, then relabeled
+// resubmissions that only canonical hashing can serve. Every warm result
+// must be byte-identical to its cold compile, no entry may be corrupt, at
+// least 80% of warm requests must come off disk, every relabeled request
+// must hit, and the warm p99 must be at least 2x better than the cold p99.
+// With eight requests per phase the nearest-rank p99 is the slowest one.
+func TestCompileCachedWarmRestart(t *testing.T) {
+	type inst struct {
+		name string
+		a    *arch.Arch
+		p    *graph.Graph
+	}
+	er := func(n int, density float64, seed int64) *graph.Graph {
+		return graph.GnpConnected(n, density, rand.New(rand.NewSource(seed)))
+	}
+	instances := []inst{
+		{"line-12/er-0.50", arch.Line(12), er(12, 0.50, 11)},
+		{"grid-16/er-0.40", arch.GridN(16), er(16, 0.40, 12)},
+		{"grid-16/er-0.55", arch.GridN(16), er(16, 0.55, 13)},
+		{"grid-25/er-0.35", arch.GridN(25), er(25, 0.35, 14)},
+		{"sycamore-16/er-0.40", arch.SycamoreN(16), er(16, 0.40, 15)},
+		{"heavyhex-20/er-0.30", arch.HeavyHexN(20), er(18, 0.30, 16)},
+		{"hexagon-18/er-0.35", arch.HexagonN(18), er(16, 0.35, 17)},
+		{"mumbai/er-0.30", arch.Mumbai(), er(24, 0.30, 18)},
+	}
+	ctx := context.Background()
+	opts := Options{Workers: 1} // the daemon's default request path
+	dir := t.TempDir()
+	open := func() *Cache {
+		store, err := cachestore.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewCache(cachestore.NewTiered(store, 0))
+	}
+	// run sends one request per instance (relabeled by perm if non-nil)
+	// and returns the results and the slowest latency.
+	run := func(cache *Cache, phase string, perm func(n int) []int) ([]*Result, time.Duration) {
+		out := make([]*Result, len(instances))
+		var slowest time.Duration
+		runtime.GC() // no phase pays for the previous phase's garbage
+		for i, in := range instances {
+			p := in.p
+			if perm != nil {
+				p = graph.Relabel(p, perm(p.N()))
+			}
+			t0 := time.Now()
+			res, err := CompileCached(ctx, in.a, p, opts, cache)
+			slowest = max(slowest, time.Since(t0))
+			if err != nil {
+				t.Fatalf("%s %s: %v", in.name, phase, err)
+			}
+			out[i] = res
+		}
+		return out, slowest
+	}
+	assertNoCorruption := func(cache *Cache) {
+		if s := cache.Stats(); s.Corrupt+s.Result.Disk.Corrupt != 0 {
+			t.Fatalf("cache counted corrupt entries: %+v", s)
+		}
+	}
+
+	cold := open()
+	coldRes, coldP99 := run(cold, "cold", nil)
+	for i, res := range coldRes {
+		if res.Stats.CacheTier != "" {
+			t.Fatalf("%s cold: served from tier %q of an empty directory", instances[i].name, res.Stats.CacheTier)
+		}
+	}
+	assertNoCorruption(cold)
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := open()
+	defer warm.Close()
+	warmRes, warmP99 := run(warm, "warm", nil)
+	diskHits := 0
+	for i, res := range warmRes {
+		assertSameResult(t, instances[i].name, "warm", coldRes[i], res)
+		if res.Stats.CacheTier == string(cachestore.TierDisk) {
+			diskHits++
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	isoRes, _ := run(warm, "isomorphic", rng.Perm)
+	isoHits := 0
+	for _, res := range isoRes {
+		if res.Stats.CacheTier != "" {
+			isoHits++
+		}
+	}
+	assertNoCorruption(warm)
+
+	diskRate := float64(diskHits) / float64(len(instances))
+	isoRate := float64(isoHits) / float64(len(instances))
+	speedup := float64(coldP99) / float64(warmP99)
+	t.Logf("cold p99 %v, warm p99 %v (%.1fx); disk hit rate %.2f, isomorphic hit rate %.2f",
+		coldP99, warmP99, speedup, diskRate, isoRate)
+	if diskRate < 0.8 {
+		t.Fatalf("disk hit rate %.2f under the 0.80 floor", diskRate)
+	}
+	if isoRate < 1 {
+		t.Fatalf("isomorphic hit rate %.2f, want 1.00: canonical hashing is leaking entries", isoRate)
+	}
+	if speedup < 2 {
+		t.Fatalf("warm p99 speedup %.2fx under the 2x floor (cold %v, warm %v)", speedup, coldP99, warmP99)
 	}
 }
 

@@ -43,9 +43,17 @@ func comparableStats(s Stats) Stats {
 // architecture family and workload class, the compiled circuit, the
 // governance stats, and the selected checkpoint are byte-identical whether
 // the prediction pool runs one worker (Workers=1) or fans out (Workers 2,
-// 8) over the shared pattern cache. The suite runs under -race in CI, so
-// it doubles as the data-race witness for the cache and the atomic budget.
+// 8) over the shared pattern cache. Beyond the 16-qubit matrix it covers
+// the evaluation-sized cells where prediction dominates compile time: ER
+// problems on 36-qubit grid and heavy-hex devices, and on 64-qubit ones
+// outside -short mode. The suite runs under -race in CI, so it doubles as
+// the data-race witness for the cache and the atomic budget.
 func TestParallelDeterminism(t *testing.T) {
+	type cell struct {
+		name string
+		a    *arch.Arch
+		g    *graph.Graph
+	}
 	const n = 16
 	archs := []struct {
 		name string
@@ -64,35 +72,51 @@ func TestParallelDeterminism(t *testing.T) {
 		{"er-0.9", graph.GnpConnected(n, 0.9, rand.New(rand.NewSource(43)))},
 		{"regular-3", graph.MustRandomRegular(n, 3, rand.New(rand.NewSource(44)))},
 	}
+	var cells []cell
 	for _, ac := range archs {
 		for _, pc := range problems {
-			t.Run(fmt.Sprintf("%s/%s", ac.name, pc.name), func(t *testing.T) {
-				ref, err := Compile(ac.a, pc.g, Options{Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				refQASM := qasmOf(t, ref)
-				for _, workers := range []int{2, 8} {
-					res, err := Compile(ac.a, pc.g, Options{Workers: workers})
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					if got := qasmOf(t, res); !bytes.Equal(refQASM, got) {
-						t.Fatalf("workers=%d: circuit differs from serial compile", workers)
-					}
-					if res.Source != ref.Source {
-						t.Fatalf("workers=%d: source %q != serial %q", workers, res.Source, ref.Source)
-					}
-					if got, want := comparableStats(res.Stats), comparableStats(ref.Stats); got != want {
-						t.Fatalf("workers=%d: stats %+v != serial %+v", workers, got, want)
-					}
-					if res.Stats.SelectedPrefix != ref.Stats.SelectedPrefix {
-						t.Fatalf("workers=%d: selected checkpoint %d != serial %d",
-							workers, res.Stats.SelectedPrefix, ref.Stats.SelectedPrefix)
-					}
-				}
-			})
+			cells = append(cells, cell{ac.name + "/" + pc.name, ac.a, pc.g})
 		}
+	}
+	sizes := []int{36}
+	if !testing.Short() {
+		sizes = append(sizes, 64)
+	}
+	for _, size := range sizes {
+		er := func(density float64) *graph.Graph {
+			return graph.GnpConnected(size, density, rand.New(rand.NewSource(1)))
+		}
+		cells = append(cells,
+			cell{fmt.Sprintf("grid-%d/er-0.5", size), arch.GridN(size), er(0.5)},
+			cell{fmt.Sprintf("heavy-hex-%d/er-0.3", size), arch.HeavyHexN(size), er(0.3)})
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			ref, err := Compile(c.a, c.g, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refQASM := qasmOf(t, ref)
+			for _, workers := range []int{2, 8} {
+				res, err := Compile(c.a, c.g, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got := qasmOf(t, res); !bytes.Equal(refQASM, got) {
+					t.Fatalf("workers=%d: circuit differs from serial compile", workers)
+				}
+				if res.Source != ref.Source {
+					t.Fatalf("workers=%d: source %q != serial %q", workers, res.Source, ref.Source)
+				}
+				if got, want := comparableStats(res.Stats), comparableStats(ref.Stats); got != want {
+					t.Fatalf("workers=%d: stats %+v != serial %+v", workers, got, want)
+				}
+				if res.Stats.SelectedPrefix != ref.Stats.SelectedPrefix {
+					t.Fatalf("workers=%d: selected checkpoint %d != serial %d",
+						workers, res.Stats.SelectedPrefix, ref.Stats.SelectedPrefix)
+				}
+			}
+		})
 	}
 }
 

@@ -12,33 +12,30 @@ import (
 // an engine's arenas are warm, a full scheduling run (everything except the
 // Result materialisation, which by design hands out fresh memory) performs
 // zero heap allocations. Any map, closure, or slice regression in the hot
-// loop shows up here as a hard failure.
+// loop shows up here as a hard failure. It runs on a 20-qubit problem with
+// and without crosstalk, and on every packedGateInstances workload.
 func TestPackedEngineZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation and pool semantics skew allocation counts")
 	}
-	cases := []struct {
-		name string
-		opts Options
-	}{
-		{"plain", Options{}},
-		{"crosstalk", Options{CrosstalkAware: true}},
-	}
 	a := arch.Grid(6, 6)
-	rng := rand.New(rand.NewSource(17))
-	p := graph.GnpConnected(20, 0.5, rng)
-	init := InitialMapping(a, p)
-	for _, tc := range cases {
+	p := graph.GnpConnected(20, 0.5, rand.New(rand.NewSource(17)))
+	cases := []gateInstance{
+		{"plain", a, p, Options{}},
+		{"crosstalk", a, p, Options{CrosstalkAware: true}},
+	}
+	for _, tc := range append(cases, packedGateInstances()...) {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := acquireEngine(a)
+			init := InitialMapping(tc.a, tc.p)
+			eng := acquireEngine(tc.a)
 			defer releaseEngine(eng)
 			for i := 0; i < 3; i++ { // warm every arena to steady-state capacity
-				if err := eng.run(p, init, tc.opts); err != nil {
+				if err := eng.run(tc.p, init, tc.opts); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if err := eng.run(p, init, tc.opts); err != nil {
+				if err := eng.run(tc.p, init, tc.opts); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -13,16 +13,16 @@ import (
 )
 
 // The differential suite pins the packed engine (engine.go) byte-identical
-// to the preserved pre-rewrite scheduler (reference.go): every gate struct,
-// the mappings, and the cycle count must agree on every instance, and every
-// compiled circuit must pass the full strict verifier chain (which includes
-// the sema phase-polynomial equivalence analyzer).
+// to the preserved pre-rewrite scheduler (reference_test.go): every gate
+// struct, the mappings, and the cycle count must agree on every instance,
+// and every compiled circuit must pass the full strict verifier chain
+// (which includes the sema phase-polynomial equivalence analyzer).
 
 // assertIdentical compiles the instance with both engines and fails unless
 // the results agree byte for byte (or both fail with the same error).
 func assertIdentical(t *testing.T, name string, a *arch.Arch, p *graph.Graph, initial []int, opts Options) {
 	t.Helper()
-	ref, refErr := ReferenceCompile(a, p, initial, opts)
+	ref, refErr := referenceCompile(a, p, initial, opts)
 	got, gotErr := Compile(a, p, initial, opts)
 	if (refErr != nil) != (gotErr != nil) {
 		t.Fatalf("%s: error divergence: reference=%v packed=%v", name, refErr, gotErr)
@@ -210,7 +210,7 @@ func TestGreedyDifferentialCheckpoints(t *testing.T) {
 	init := InitialMapping(a, p)
 
 	var refC, gotC []ckpt
-	if _, err := ReferenceCompile(a, p, init, Options{Checkpoint: record(&refC)}); err != nil {
+	if _, err := referenceCompile(a, p, init, Options{Checkpoint: record(&refC)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Compile(a, p, init, Options{Checkpoint: record(&gotC)}); err != nil {
@@ -251,7 +251,7 @@ func TestGreedyPooledConcurrentDeterminism(t *testing.T) {
 	}
 	refs := make([]*Result, len(insts))
 	for i, in := range insts {
-		ref, err := ReferenceCompile(in.a, in.p, in.init, in.opts)
+		ref, err := referenceCompile(in.a, in.p, in.init, in.opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // (pinned by TestPackedEngineZeroAllocs).
 //
 // The engine must replay every heuristic decision of the reference
-// implementation (reference.go) exactly — same iteration orders, same
+// implementation (reference_test.go) exactly — same iteration orders, same
 // float accumulation orders, same tie-breaks — because the differential
 // suite requires byte-identical circuits. Comments below flag the spots
 // where the replication is order-sensitive.
@@ -391,7 +391,7 @@ func (e *engine) refreshGateDists(l int32) {
 	}
 }
 
-// forcedSwap mirrors reference.go forcedSwap: the lowest-error
+// forcedSwap mirrors reference_test.go forcedSwap: the lowest-error
 // distance-reducing swap at either endpoint, neighbours of pu before pv,
 // strict-< error preference, canonical edge orientation.
 func (e *engine) forcedSwap(gid int32) (int32, int32) {
@@ -447,9 +447,9 @@ func (e *engine) forcedSwap(gid int32) (int32, int32) {
 	return w, pu
 }
 
-// swapGain mirrors reference.go swapGain on the packed encoding: the total
-// distance reduction over remaining gates incident to the occupants of
-// (pu, pv) if they were exchanged after executing gate gid.
+// swapGain mirrors reference_test.go swapGain on the packed encoding: the
+// total distance reduction over remaining gates incident to the occupants
+// of (pu, pv) if they were exchanged after executing gate gid.
 func (e *engine) swapGain(gid, pu, pv int32) int {
 	gain := 0
 	// gU side moves pu -> pv, gV side moves pv -> pu (reference acc order).
@@ -475,7 +475,7 @@ func (e *engine) swapGain(gid, pu, pv int32) int {
 	return gain
 }
 
-// xtalkConflict mirrors reference.go xtalkConflict: does coupling cid
+// xtalkConflict mirrors reference_test.go xtalkConflict: does coupling cid
 // crosstalk with any gate scheduled this cycle?
 func (e *engine) xtalkConflict(cid int32) bool {
 	for t := e.xtOff[cid]; t < e.xtOff[cid+1]; t++ {
@@ -492,7 +492,7 @@ func (e *engine) xtalkConflict(cid int32) bool {
 }
 
 // scheduleGates is the packed §6.2 conflict-colouring step over e.exec.
-// It reproduces reference.go scheduleGates exactly: conflict adjacency
+// It reproduces reference_test.go scheduleGates exactly: conflict adjacency
 // lists are built in the same AddEdge timestamp order, the colouring
 // replays graph.GreedyColoring (stable degree-descending order, colour
 // guard c <= deg(v)), and the largest class is the lowest colour on ties

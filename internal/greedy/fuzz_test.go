@@ -65,7 +65,7 @@ func FuzzGreedyMatchesReference(f *testing.F) {
 			opts.MaxCycles = 1 + int(data[2])%64 // exercise budget errors
 		}
 
-		ref, refErr := ReferenceCompile(a, p, initial, opts)
+		ref, refErr := referenceCompile(a, p, initial, opts)
 		got, gotErr := Compile(a, p, initial, opts)
 		if (refErr != nil) != (gotErr != nil) {
 			t.Fatalf("error divergence: reference=%v packed=%v", refErr, gotErr)

@@ -13,7 +13,7 @@
 // adjacency, bitmask conflict tracking, incrementally maintained gate
 // distances, and sync.Pool recycling across compiles — zero steady-state
 // allocations in the scheduling loop. The pre-rewrite implementation is
-// preserved verbatim in reference.go as the equivalence oracle; the
+// preserved verbatim in reference_test.go as the equivalence oracle; the
 // differential suite (differential_test.go, FuzzGreedyMatchesReference)
 // pins the two engines byte-identical.
 package greedy
@@ -93,27 +93,6 @@ func Compile(a *arch.Arch, problem *graph.Graph, initial []int, opts Options) (*
 	eng := acquireEngine(a)
 	defer releaseEngine(eng)
 	return eng.compile(problem, initial, opts)
-}
-
-// pairSet is a bitset over unordered logical-qubit pairs — the remaining
-// gate set, consulted in hot loops where hashing 16-byte edge keys costs
-// too much.
-type pairSet struct {
-	n    int
-	bits []uint64
-}
-
-func newPairSet(n int) *pairSet {
-	return &pairSet{n: n, bits: make([]uint64, (n*n+63)/64)}
-}
-
-func (s *pairSet) idx(e graph.Edge) int { return e.U*s.n + e.V }
-
-func (s *pairSet) add(e graph.Edge)    { i := s.idx(e); s.bits[i/64] |= 1 << uint(i%64) }
-func (s *pairSet) remove(e graph.Edge) { i := s.idx(e); s.bits[i/64] &^= 1 << uint(i%64) }
-func (s *pairSet) has(e graph.Edge) bool {
-	i := s.idx(e)
-	return s.bits[i/64]&(1<<uint(i%64)) != 0
 }
 
 // vetoThreshold returns the CX error above which a link is excluded from

@@ -28,7 +28,7 @@ func BenchmarkReferenceGrid100(b *testing.B) {
 	init := InitialMapping(a, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReferenceCompile(a, p, init, Options{}); err != nil {
+		if _, err := referenceCompile(a, p, init, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,17 +14,30 @@ import (
 
 // This file preserves the pre-rewrite greedy scheduler verbatim in behavior:
 // map-based busy/conflict sets, a fresh conflict graph.Graph per cycle, and
-// slice-of-struct gate bookkeeping through circuit.Builder. It exists as the
-// equivalence oracle for the differential suite (the packed engine in
-// engine.go must reproduce its output gate for gate) and as the baseline the
-// benchmark harness measures the rewrite against — the same discipline
-// internal/solver/reference.go established for the A* rewrite. It should
-// not be used outside tests and benchmarks.
+// slice-of-struct gate bookkeeping through circuit.Builder. It is the
+// equivalence oracle for the differential suite: the packed engine in
+// engine.go must reproduce its output gate for gate. The same discipline
+// internal/solver/reference_test.go follows for the A* rewrite.
 
-// ReferenceCompile runs the pre-rewrite scheduler. Module-internal callers
-// only: the differential tests, the fuzz target, and the bench harness.
-func ReferenceCompile(a *arch.Arch, problem *graph.Graph, initial []int, opts Options) (*Result, error) {
-	return referenceCompile(a, problem, initial, opts)
+// pairSet is a bitset over unordered logical-qubit pairs — the remaining
+// gate set, consulted in hot loops where hashing 16-byte edge keys costs
+// too much.
+type pairSet struct {
+	n    int
+	bits []uint64
+}
+
+func newPairSet(n int) *pairSet {
+	return &pairSet{n: n, bits: make([]uint64, (n*n+63)/64)}
+}
+
+func (s *pairSet) idx(e graph.Edge) int { return e.U*s.n + e.V }
+
+func (s *pairSet) add(e graph.Edge)    { i := s.idx(e); s.bits[i/64] |= 1 << uint(i%64) }
+func (s *pairSet) remove(e graph.Edge) { i := s.idx(e); s.bits[i/64] &^= 1 << uint(i%64) }
+func (s *pairSet) has(e graph.Edge) bool {
+	i := s.idx(e)
+	return s.bits[i/64]&(1<<uint(i%64)) != 0
 }
 
 // referenceCompile is the pre-rewrite Compile body.

@@ -93,8 +93,8 @@ type chosenAct struct {
 
 // enginePool recycles engines (arenas, tables, scratch) across searches, so
 // callers that solve many small instances — the equivalence property tests,
-// the swapnet optimality cross-checks, the benchmark harness — do not
-// rebuild multi-megabyte buffers per call.
+// the swapnet optimality cross-checks — do not rebuild multi-megabyte
+// buffers per call.
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
 func newEngine(a *arch.Arch, problem *graph.Graph, edges []graph.Edge, symmetry bool) *engine {

@@ -17,23 +17,34 @@ import (
 // Returns the agreed depth.
 func assertEngineAgreement(t *testing.T, a *arch.Arch, p *graph.Graph, initial []int) int {
 	t.Helper()
-	ctx := context.Background()
-	ref, err := referenceSolve(ctx, a, p, initial, Options{})
+	ref, err := referenceSolve(context.Background(), a, p, initial, Options{})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
+	if d := assertPackedAgreement(t, a, p, initial); d != ref.Depth {
+		t.Fatalf("packed engines proved depth %d, reference proved %d", d, ref.Depth)
+	}
+	return ref.Depth
+}
+
+// assertPackedAgreement is assertEngineAgreement without the reference, for
+// instances beyond the oracle's reach: the packed engine with symmetry off
+// and on must prove the same depth, and both schedules must replay.
+func assertPackedAgreement(t *testing.T, a *arch.Arch, p *graph.Graph, initial []int) int {
+	t.Helper()
+	depth := -1
 	for _, sym := range []bool{false, true} {
-		res, err := SolveContext(ctx, a, p, initial, Options{Symmetry: sym})
+		res, err := SolveContext(context.Background(), a, p, initial, Options{Symmetry: sym})
 		if err != nil {
 			t.Fatalf("packed (symmetry=%v): %v", sym, err)
 		}
-		if res.Depth != ref.Depth {
-			t.Fatalf("packed (symmetry=%v) proved depth %d, reference proved %d",
-				sym, res.Depth, ref.Depth)
+		if depth >= 0 && res.Depth != depth {
+			t.Fatalf("packed (symmetry=%v) proved depth %d, symmetry off proved %d", sym, res.Depth, depth)
 		}
+		depth = res.Depth
 		replay(t, a, p, initial, res)
 	}
-	return ref.Depth
+	return depth
 }
 
 // TestEquivalenceRandomInstances is the equivalence oracle: ~100 random
@@ -109,6 +120,23 @@ func TestEquivalenceFamiliesLarger(t *testing.T) {
 		p.AddEdge(0, 6) // far ends of the two rows, through the bridge
 		assertEngineAgreement(t, a, p, nil)
 	})
+	// The 2xUnit bipartite sub-problem (§3.2) on 2x3 and, outside -short,
+	// 2x4 grids.
+	for _, cols := range []int{3, 4} {
+		t.Run(fmt.Sprintf("grid-2x%d-bipartite", cols), func(t *testing.T) {
+			if cols > 3 && testing.Short() {
+				t.Skip("2x4 takes about 0.1 s on the reference engine")
+			}
+			p := graph.New(2 * cols)
+			for i := 0; i < cols; i++ {
+				for j := cols; j < 2*cols; j++ {
+					p.AddEdge(i, j)
+				}
+			}
+			d := assertEngineAgreement(t, arch.Grid(2, cols), p, nil)
+			t.Logf("bipartite on grid-2x%d: optimal depth %d", cols, d)
+		})
+	}
 	t.Run("mumbai-path4", func(t *testing.T) {
 		// families_test routes Path(3) on Mumbai; one logical more here.
 		p := graph.Path(4)

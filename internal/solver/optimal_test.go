@@ -9,16 +9,25 @@ import (
 
 // TestLineCliqueOptimalDepths locks in the optimal depths the solver
 // discovers for small line cliques: 2n-2 cycles (n gate layers + n-2 SWAP
-// layers), the structure §3.1 generalises into the linear pattern.
+// layers), the structure §3.1 generalises into the linear pattern. Up to
+// n=6 the reference engine must prove the same depth as both packed
+// engines; n=7 (about 30 s on the reference) runs the packed engines
+// alone, outside -short mode.
 func TestLineCliqueOptimalDepths(t *testing.T) {
-	want := map[int]int{2: 1, 3: 4, 4: 6, 5: 8, 6: 10}
-	for n, d := range want {
-		res, err := Solve(arch.Line(n), graph.Complete(n), nil, Options{})
-		if err != nil {
-			t.Fatalf("line-%d: %v", n, err)
+	want := []int{2: 1, 3: 4, 4: 6, 5: 8, 6: 10, 7: 12}
+	for n := 2; n < len(want); n++ {
+		a, p := arch.Line(n), graph.Complete(n)
+		var got int
+		switch {
+		case n <= 6:
+			got = assertEngineAgreement(t, a, p, nil)
+		case testing.Short():
+			continue
+		default:
+			got = assertPackedAgreement(t, a, p, nil)
 		}
-		if res.Depth != d {
-			t.Errorf("K%d on line-%d: optimal depth %d, want %d", n, n, res.Depth, d)
+		if got != want[n] {
+			t.Errorf("K%d on line-%d: optimal depth %d, want %d", n, n, got, want[n])
 		}
 	}
 }

@@ -13,21 +13,13 @@ import (
 
 // This file preserves the pre-optimization A* engine verbatim in behavior:
 // string state keys in a map closed set, the O(d) inner-loop heuristic
-// recomputed from scratch per node, and the unpruned expansion. It exists
-// as the equivalence oracle for the property tests (same optimal depth on
-// every instance) and as the baseline the benchmark harness measures the
-// packed engine against. It is not wired to tracing and should not be used
-// outside tests and benchmarks.
+// recomputed from scratch per node, and the unpruned expansion. It is the
+// equivalence oracle for the property tests: every engine must prove the
+// same optimal depth on every instance. It is not wired to tracing.
 
-// ReferenceSolve runs the pre-optimization engine. It honors MaxNodes with
-// the same semantics as Solve (0 = 2^22, negative = unbounded) and polls
-// ctx every interruptStride expansions. Module-internal callers only: the
-// benchmark harness and equivalence tests.
-func ReferenceSolve(ctx context.Context, a *arch.Arch, problem *graph.Graph, initial []int, opts Options) (*Result, error) {
-	return referenceSolve(ctx, a, problem, initial, opts)
-}
-
-// referenceSolve is the pre-PR SolveContext body.
+// referenceSolve is the pre-optimization SolveContext body. It honors
+// MaxNodes with the same semantics as Solve (0 = 2^22, negative =
+// unbounded) and polls ctx every interruptStride expansions.
 func referenceSolve(ctx context.Context, a *arch.Arch, problem *graph.Graph, initial []int, opts Options) (*Result, error) {
 	clock := obs.ClockOf(opts.Trace)
 	t0 := clock.Now()

@@ -23,8 +23,8 @@
 // per-edge incremental updates, and prunes dominated expansions; see
 // DESIGN.md "Solver internals" for the encoding and the admissibility
 // argument of each pruning rule. The pre-optimization engine is kept as
-// referenceSolve (reference.go) and serves as the equivalence oracle the
-// property tests and the benchmark harness compare against.
+// referenceSolve (reference_test.go), the equivalence oracle the property
+// tests compare against.
 package solver
 
 import (
