@@ -10,7 +10,9 @@ import (
 // Cache is a compilation cache shared across Compile calls: an in-memory
 // LRU of compiled results, optionally backed by a persistent on-disk
 // store, plus the structured-pattern geometry cache the hybrid strategy
-// warms as it compiles. Attach one via Options.Cache.
+// fills as it compiles. Only results reach the disk: pattern geometry is
+// cheap to derive, so each process recomputes it on first use. Attach
+// one via Options.Cache.
 //
 // Results are keyed by (architecture fingerprint, canonical problem-graph
 // hash, options digest): isomorphic problems share an entry, and a cached
@@ -40,8 +42,8 @@ func OpenCache(dir string, maxBytes int64) (*Cache, error) {
 }
 
 // MemoryCache returns a process-lifetime compilation cache with no disk
-// tier: results and warm pattern state are shared across compiles but
-// vanish with the process.
+// tier: results and pattern state are shared across compiles but vanish
+// with the process.
 func MemoryCache() *Cache {
 	return &Cache{inner: core.NewCache(cachestore.NewTiered(nil, 0))}
 }

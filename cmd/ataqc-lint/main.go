@@ -37,7 +37,6 @@ import (
 	"os"
 
 	"github.com/ata-pattern/ataqc"
-	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/bench"
 	"github.com/ata-pattern/ataqc/internal/circuit"
 	"github.com/ata-pattern/ataqc/internal/verify"
@@ -108,7 +107,11 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "ataqc-lint:", parseErr)
 			return 1
 		}
-		a, err := archFor(*family, c.NQubits)
+		// The qreg of QASM emitted by this toolchain records the physical
+		// qubit count, so sizing the family to it reproduces the original
+		// device; a mismatch is reported by the arch-conformance analyzer
+		// rather than guessed away here.
+		a, err := bench.ArchFor(*family, c.NQubits)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ataqc-lint:", err)
 			return 2
@@ -237,15 +240,4 @@ func deviceFor(family string, n int) (*ataqc.Device, error) {
 		return ataqc.MumbaiDevice(), nil
 	}
 	return nil, fmt.Errorf("unknown architecture family %q", family)
-}
-
-// archFor sizes a coupling graph for -qasm mode. The qreg of QASM emitted
-// by this toolchain records the physical qubit count, so sizing the family
-// to it reproduces the original device; a mismatch is reported by the
-// arch-conformance analyzer rather than guessed away here.
-func archFor(family string, n int) (*arch.Arch, error) {
-	if family == "mumbai" {
-		return arch.Mumbai(), nil
-	}
-	return bench.ArchFor(family, n)
 }

@@ -155,9 +155,13 @@ func CompileWithOptions(method string, a *arch.Arch, p *graph.Graph, nm *noise.M
 }
 
 // ArchFor returns the minimum near-square architecture of the given family
-// that fits n logical qubits (§7.1). The family name reaches this function
-// from CLI flags, so an unknown one is a returned error, not a panic.
+// that fits n logical qubits (§7.1); mumbai is a fixed 27-qubit device and
+// ignores n. The family name reaches this function from CLI flags and
+// workload files, so an unknown one is a returned error, not a panic.
 func ArchFor(family string, n int) (*arch.Arch, error) {
+	if family == "mumbai" {
+		return arch.Mumbai(), nil
+	}
 	if n < 1 {
 		return nil, fmt.Errorf("bench: architecture needs at least 1 qubit, got %d", n)
 	}

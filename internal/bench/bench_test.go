@@ -42,6 +42,9 @@ func TestArchForFamilies(t *testing.T) {
 			t.Fatalf("%s: %d qubits", f, a.N())
 		}
 	}
+	if a, err := ArchFor("mumbai", 5); err != nil || a.N() != 27 {
+		t.Fatalf("mumbai: %v, %v", a, err)
+	}
 	if _, err := ArchFor("torus", 30); err == nil {
 		t.Fatal("unknown family accepted")
 	}

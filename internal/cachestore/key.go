@@ -15,45 +15,24 @@
 package cachestore
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-
-	"github.com/ata-pattern/ataqc/internal/arch"
 )
 
-// Kind namespaces the record types sharing one store.
+// Kind namespaces the record types sharing one store. The kind byte is
+// part of every key and file name. Kinds 2 and 3 are retired: existing
+// directories may still hold entries of them, which are never looked up
+// and age out under the byte budget, so the numbers must not be reused.
 type Kind uint8
 
-const (
-	// KindResult is a full compiled-circuit record (ResultRecord) in the
-	// problem's canonical frame.
-	KindResult Kind = 1
-	// KindPattern is a region-structure record (PatternRecord): the
-	// geometry the ATA patterns derive from (arch, region).
-	KindPattern Kind = 2
-	// KindSolver is a depth-optimal solver certificate (SolverRecord).
-	KindSolver Kind = 3
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindResult:
-		return "result"
-	case KindPattern:
-		return "pattern"
-	case KindSolver:
-		return "solver"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
+// KindResult is a full compiled-circuit record (ResultRecord) in the
+// problem's canonical frame.
+const KindResult Kind = 1
 
 // Key addresses one cache entry: the architecture's structural
 // fingerprint, the record kind, a 32-byte content hash (the canonical
-// problem-graph hash for results, a region digest for patterns), and the
-// digest of the compile options the record depends on (0 when none do).
+// problem-graph hash), and the digest of the compile options the record
+// depends on.
 type Key struct {
 	Arch uint64
 	Kind Kind
@@ -111,32 +90,4 @@ func parseFilename(name string) (Key, bool) {
 // ResultKey addresses a compiled-circuit record.
 func ResultKey(archFP uint64, problemHash [32]byte, optsDigest uint64) Key {
 	return Key{Arch: archFP, Kind: KindResult, Hash: problemHash, Opts: optsDigest}
-}
-
-// PatternKey addresses a region-structure record: the hash digests the
-// region bounds, so every unit/window of an architecture gets its own
-// entry.
-func PatternKey(archFP uint64, r arch.Region) Key {
-	return Key{Arch: archFP, Kind: KindPattern, Hash: regionHash(r)}
-}
-
-// SolverKey addresses a solver-optimum certificate for a canonical
-// problem on an architecture.
-func SolverKey(archFP uint64, problemHash [32]byte) Key {
-	return Key{Arch: archFP, Kind: KindSolver, Hash: problemHash}
-}
-
-func regionHash(r arch.Region) [32]byte {
-	b := binary.AppendVarint(nil, int64(r.U0))
-	b = binary.AppendVarint(b, int64(r.U1))
-	b = binary.AppendVarint(b, int64(r.P0))
-	b = binary.AppendVarint(b, int64(r.P1))
-	b = binary.AppendVarint(b, int64(r.I0))
-	b = binary.AppendVarint(b, int64(r.I1))
-	if r.UsesPath {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return sha256.Sum256(b)
 }

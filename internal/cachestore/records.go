@@ -3,8 +3,6 @@ package cachestore
 import (
 	"encoding/binary"
 	"math"
-
-	"github.com/ata-pattern/ataqc/internal/arch"
 )
 
 // Record payloads are versioned varint streams behind the entry frame's
@@ -14,9 +12,7 @@ import (
 // allocation.
 
 const (
-	resultRecordVersion  = 1
-	patternRecordVersion = 1
-	solverRecordVersion  = 1
+	resultRecordVersion = 1
 	// maxRecordElems bounds every decoded slice length: the service caps
 	// problems at 1024 qubits, so no honest record comes near it.
 	maxRecordElems = 1 << 22
@@ -110,116 +106,6 @@ func DecodeResult(b []byte) (*ResultRecord, error) {
 	return out, nil
 }
 
-// PatternRecord is the region geometry the ATA patterns derive from
-// (arch, region): the warm sweeper stores one per unit/window so a fresh
-// daemon's pattern cache starts populated.
-type PatternRecord struct {
-	// Region is the cache key the structural lookup uses (the raw region
-	// as requested); Norm is its normalized form.
-	Region   arch.Region
-	Norm     arch.Region
-	Units    [][]int
-	Qubits   []int
-	InRegion []bool
-	SnakeSeg []int
-	SnakeOK  bool
-}
-
-func appendRegion(w []byte, r arch.Region) []byte {
-	w = binary.AppendVarint(w, int64(r.U0))
-	w = binary.AppendVarint(w, int64(r.U1))
-	w = binary.AppendVarint(w, int64(r.P0))
-	w = binary.AppendVarint(w, int64(r.P1))
-	w = binary.AppendVarint(w, int64(r.I0))
-	w = binary.AppendVarint(w, int64(r.I1))
-	return appendBool(w, r.UsesPath)
-}
-
-func (r *reader) region() arch.Region {
-	return arch.Region{
-		U0: r.int(), U1: r.int(),
-		P0: r.int(), P1: r.int(),
-		I0: r.int(), I1: r.int(),
-		UsesPath: r.bool(),
-	}
-}
-
-// EncodePattern serializes p.
-func EncodePattern(p *PatternRecord) []byte {
-	w := []byte{patternRecordVersion}
-	w = appendRegion(w, p.Region)
-	w = appendRegion(w, p.Norm)
-	w = binary.AppendUvarint(w, uint64(len(p.Units)))
-	for _, u := range p.Units {
-		w = appendIntSlice(w, u)
-	}
-	w = appendIntSlice(w, p.Qubits)
-	w = appendBoolSlice(w, p.InRegion)
-	w = appendIntSlice(w, p.SnakeSeg)
-	return appendBool(w, p.SnakeOK)
-}
-
-// DecodePattern parses an EncodePattern payload.
-func DecodePattern(b []byte) (*PatternRecord, error) {
-	r := &reader{b: b}
-	if r.byte() != patternRecordVersion {
-		return nil, ErrCorrupt
-	}
-	out := &PatternRecord{
-		Region: r.region(),
-		Norm:   r.region(),
-	}
-	n := r.length()
-	if r.failed {
-		return nil, ErrCorrupt
-	}
-	if n > 0 {
-		out.Units = make([][]int, 0, min(n, 4096))
-	}
-	for i := 0; i < n; i++ {
-		out.Units = append(out.Units, r.intSlice())
-		if r.failed {
-			return nil, ErrCorrupt
-		}
-	}
-	out.Qubits = r.intSlice()
-	out.InRegion = r.boolSlice()
-	out.SnakeSeg = r.intSlice()
-	out.SnakeOK = r.bool()
-	if !r.done() {
-		return nil, ErrCorrupt
-	}
-	return out, nil
-}
-
-// SolverRecord is a depth-optimal solver certificate: the proven minimal
-// depth of a canonical problem on an architecture, and how much search
-// it took (provenance for experiment reports).
-type SolverRecord struct {
-	Depth    int
-	Explored int64
-}
-
-// EncodeSolver serializes s.
-func EncodeSolver(s *SolverRecord) []byte {
-	w := []byte{solverRecordVersion}
-	w = binary.AppendVarint(w, int64(s.Depth))
-	return binary.AppendVarint(w, s.Explored)
-}
-
-// DecodeSolver parses an EncodeSolver payload.
-func DecodeSolver(b []byte) (*SolverRecord, error) {
-	r := &reader{b: b}
-	if r.byte() != solverRecordVersion {
-		return nil, ErrCorrupt
-	}
-	out := &SolverRecord{Depth: r.int(), Explored: r.int64()}
-	if !r.done() {
-		return nil, ErrCorrupt
-	}
-	return out, nil
-}
-
 // --- codec plumbing ---
 
 func appendString(w []byte, s string) []byte {
@@ -238,14 +124,6 @@ func appendIntSlice(w []byte, xs []int) []byte {
 	w = binary.AppendUvarint(w, uint64(len(xs)))
 	for _, x := range xs {
 		w = binary.AppendVarint(w, int64(x))
-	}
-	return w
-}
-
-func appendBoolSlice(w []byte, xs []bool) []byte {
-	w = binary.AppendUvarint(w, uint64(len(xs)))
-	for _, x := range xs {
-		w = appendBool(w, x)
 	}
 	return w
 }
@@ -296,8 +174,6 @@ func (r *reader) varint() int64 {
 
 func (r *reader) int() int { return int(r.varint()) }
 
-func (r *reader) int64() int64 { return r.varint() }
-
 func (r *reader) uint64() uint64 {
 	if len(r.b) < 8 {
 		r.fail()
@@ -344,23 +220,6 @@ func (r *reader) intSlice() []int {
 			return nil
 		}
 	}
-	return out
-}
-
-func (r *reader) boolSlice() []bool {
-	n := r.length()
-	if r.failed || len(r.b) < n {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.b[i] == 1
-	}
-	r.b = r.b[n:]
 	return out
 }
 

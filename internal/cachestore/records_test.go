@@ -3,8 +3,6 @@ package cachestore
 import (
 	"reflect"
 	"testing"
-
-	"github.com/ata-pattern/ataqc/internal/arch"
 )
 
 func sampleResult() *ResultRecord {
@@ -39,49 +37,6 @@ func TestResultRecordRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(empty, out) {
 		t.Fatalf("empty round trip mismatch: %+v", out)
-	}
-}
-
-func TestPatternRecordRoundTrip(t *testing.T) {
-	in := &PatternRecord{
-		Region:   arch.Region{U0: 1, U1: 3, P0: 0, P1: 4},
-		Norm:     arch.Region{U0: 1, U1: 3, P0: 0, P1: 4},
-		Units:    [][]int{{0, 1, 2}, {5, 6, 7}},
-		Qubits:   []int{0, 1, 2, 5, 6, 7},
-		InRegion: []bool{true, true, true, false, false, true, true, true},
-		SnakeSeg: []int{2, 1, 0, 5},
-		SnakeOK:  true,
-	}
-	out, err := DecodePattern(EncodePattern(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\n in %+v\nout %+v", in, out)
-	}
-
-	pathRegion := &PatternRecord{
-		Region: arch.Region{I0: 2, I1: 9, UsesPath: true},
-		Norm:   arch.Region{I0: 2, I1: 9, UsesPath: true},
-		Qubits: []int{2, 3, 4},
-	}
-	out, err = DecodePattern(EncodePattern(pathRegion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pathRegion, out) {
-		t.Fatalf("path-region round trip mismatch: %+v", out)
-	}
-}
-
-func TestSolverRecordRoundTrip(t *testing.T) {
-	in := &SolverRecord{Depth: 14, Explored: 123456}
-	out, err := DecodeSolver(EncodeSolver(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *in != *out {
-		t.Fatalf("round trip mismatch: %+v", out)
 	}
 }
 

@@ -2,7 +2,6 @@ package cachestore
 
 import (
 	"bufio"
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"github.com/ata-pattern/ataqc/internal/lru"
 )
 
 // Store is the on-disk tier: one file per entry under 256 hash-prefix
@@ -25,18 +26,18 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	mu      sync.Mutex
-	index   *os.File
-	entries map[Key]*list.Element
-	lru     *list.List // front = most recently used; values are *diskMeta
-	total   int64
+	// mu guards the table together with every change this process makes
+	// to the entry files and the journal, so they change in step.
+	mu    sync.Mutex
+	index *os.File
+	// table maps each entry to the generation of the write that produced
+	// its file, weighted by the file's size in bytes. The generation lets
+	// a reader that lost a race with eviction or replacement tell its
+	// failed read apart from a damaged file.
+	table lru.List[Key, uint64]
+	gen   uint64
 
 	hits, misses, puts, corrupt, evictions int64
-}
-
-type diskMeta struct {
-	key  Key
-	size int64
 }
 
 // StoreStats is a point-in-time snapshot of the disk tier.
@@ -57,12 +58,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: %w", err)
 	}
-	s := &Store{
-		dir:      dir,
-		maxBytes: maxBytes,
-		entries:  make(map[Key]*list.Element),
-		lru:      list.New(),
-	}
+	s := &Store{dir: dir, maxBytes: maxBytes}
 	if !s.replayIndex() {
 		if err := s.rescan(); err != nil {
 			return nil, err
@@ -127,7 +123,7 @@ func (s *Store) replayIndex() bool {
 			s.insertMeta(k, size)
 			any = true
 		case "D":
-			s.removeMeta(k)
+			s.table.Remove(k)
 			any = true
 		}
 	}
@@ -168,9 +164,7 @@ func (s *Store) hasEntryFiles() bool {
 // and a fresh journal (written atomically so a crash mid-rescan leaves
 // the old one).
 func (s *Store) rescan() error {
-	s.entries = make(map[Key]*list.Element)
-	s.lru = list.New()
-	s.total = 0
+	s.table = lru.List[Key, uint64]{}
 	dirs, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("cachestore: %w", err)
@@ -225,26 +219,11 @@ func (s *Store) rescan() error {
 	return nil
 }
 
-// insertMeta and removeMeta maintain the in-memory table; callers hold
-// the lock (or run single-threaded during Open).
+// insertMeta records a new generation of k as the most recent entry;
+// callers hold the lock (or run single-threaded during Open).
 func (s *Store) insertMeta(k Key, size int64) {
-	if el, ok := s.entries[k]; ok {
-		m := el.Value.(*diskMeta)
-		s.total += size - m.size
-		m.size = size
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[k] = s.lru.PushFront(&diskMeta{key: k, size: size})
-	s.total += size
-}
-
-func (s *Store) removeMeta(k Key) {
-	if el, ok := s.entries[k]; ok {
-		s.total -= el.Value.(*diskMeta).size
-		s.lru.Remove(el)
-		delete(s.entries, k)
-	}
+	s.gen++
+	s.table.Put(k, s.gen, size)
 }
 
 func (s *Store) path(k Key) string {
@@ -280,13 +259,15 @@ func (s *Store) Put(k Key, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cachestore: %w", err)
 	}
+
+	// The rename happens under the lock so that no eviction or
+	// corruption drop can remove the new file before it is in the table.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := os.Rename(tmp.Name(), s.path(k)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cachestore: %w", err)
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.puts++
 	s.insertMeta(k, int64(len(blob)))
 	s.journalLocked(fmt.Sprintf("P %s %d\n", k.filename(), len(blob)))
@@ -299,43 +280,42 @@ func (s *Store) Put(k Key, payload []byte) error {
 // reported as misses.
 func (s *Store) Get(k Key) ([]byte, bool) {
 	s.mu.Lock()
-	el, ok := s.entries[k]
+	gen, ok := s.table.Get(k)
 	if !ok {
 		s.misses++
 		s.mu.Unlock()
 		return nil, false
 	}
-	s.lru.MoveToFront(el)
-	path := s.path(k)
 	s.mu.Unlock()
 
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		// The journal promised an entry the filesystem no longer has —
-		// treat exactly like corruption.
-		s.dropCorrupt(k, path)
-		return nil, false
+	if blob, err := os.ReadFile(s.path(k)); err == nil {
+		if gotKey, payload, err := DecodeEntry(blob); err == nil && gotKey == k {
+			s.mu.Lock()
+			s.hits++
+			s.mu.Unlock()
+			return payload, true
+		}
 	}
-	gotKey, payload, derr := DecodeEntry(blob)
-	if derr != nil || gotKey != k {
-		s.dropCorrupt(k, path)
-		return nil, false
-	}
-	s.mu.Lock()
-	s.hits++
-	s.mu.Unlock()
-	return payload, true
+	// A file the table promised but the filesystem no longer has is
+	// treated exactly like a damaged one.
+	s.dropCorrupt(k, gen)
+	return nil, false
 }
 
-// dropCorrupt removes a damaged entry: counter, table, journal, file.
-func (s *Store) dropCorrupt(k Key, path string) {
+// dropCorrupt handles a failed read of generation gen of k. If the table
+// still holds that generation, the file is missing or damaged: it is
+// counted corrupt and removed from the table, the journal and the disk.
+// Otherwise a concurrent Put evicted or replaced the entry while it was
+// being read, and the failure is a plain miss that touches nothing.
+func (s *Store) dropCorrupt(k Key, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.corrupt++
 	s.misses++
-	s.removeMeta(k)
-	s.journalLocked(fmt.Sprintf("D %s\n", k.filename()))
-	os.Remove(path)
+	if cur, ok := s.table.Peek(k); !ok || cur != gen {
+		return
+	}
+	s.corrupt++
+	s.removeLocked(k)
 }
 
 // evictLocked deletes least-recently-used entries until the byte budget
@@ -344,20 +324,21 @@ func (s *Store) evictLocked(keep Key) {
 	if s.maxBytes <= 0 {
 		return
 	}
-	for s.total > s.maxBytes {
-		oldest := s.lru.Back()
-		if oldest == nil {
+	for s.table.Cost() > s.maxBytes {
+		k, _, ok := s.table.Oldest()
+		if !ok || k == keep {
 			return
 		}
-		m := oldest.Value.(*diskMeta)
-		if m.key == keep {
-			return
-		}
-		s.removeMeta(m.key)
 		s.evictions++
-		s.journalLocked(fmt.Sprintf("D %s\n", m.key.filename()))
-		os.Remove(s.path(m.key))
+		s.removeLocked(k)
 	}
+}
+
+// removeLocked deletes k from the table, the journal and the disk.
+func (s *Store) removeLocked(k Key) {
+	s.table.Remove(k)
+	s.journalLocked(fmt.Sprintf("D %s\n", k.filename()))
+	os.Remove(s.path(k))
 }
 
 // journalLocked appends one line to the index and fsyncs it. Journal
@@ -372,22 +353,6 @@ func (s *Store) journalLocked(line string) {
 	}
 }
 
-// Keys lists the stored keys for one (kind, arch) pair in recency order,
-// most recent first — the warm-boot path uses it to preload every
-// pattern record of an architecture.
-func (s *Store) Keys(kind Kind, archFP uint64) []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Key
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		m := el.Value.(*diskMeta)
-		if m.key.Kind == kind && m.key.Arch == archFP {
-			out = append(out, m.key)
-		}
-	}
-	return out
-}
-
 // Stats snapshots the disk-tier counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
@@ -395,6 +360,6 @@ func (s *Store) Stats() StoreStats {
 	return StoreStats{
 		Hits: s.hits, Misses: s.misses, Puts: s.puts,
 		Corrupt: s.corrupt, Evictions: s.evictions,
-		Entries: len(s.entries), Bytes: s.total,
+		Entries: s.table.Len(), Bytes: s.table.Cost(),
 	}
 }

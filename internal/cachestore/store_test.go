@@ -3,9 +3,8 @@ package cachestore
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
-
-	"github.com/ata-pattern/ataqc/internal/arch"
 )
 
 func testKey(i byte) Key {
@@ -179,30 +178,99 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
-func TestStoreKeysFilters(t *testing.T) {
-	s, err := Open(t.TempDir(), 0)
+// TestStoreConcurrentEvictionIsNotCorruption races get-or-put traffic
+// over more keys than the byte budget holds, so entries are evicted
+// (their files deleted) while other goroutines are reading them. A read
+// that loses that race is a plain miss: nothing is damaged, so nothing
+// may be counted corrupt, and the table must still name exactly the
+// files on disk.
+func TestStoreConcurrentEvictionIsNotCorruption(t *testing.T) {
+	const (
+		workers = 8
+		ops     = 400
+		keys    = 6
+	)
+	payload := make([]byte, 100)
+	entrySize := int64(len(EncodeEntry(testKey(0), payload)))
+	dir := t.TempDir()
+	s, err := Open(dir, 3*entrySize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var h [32]byte
-	if err := s.Put(ResultKey(1, h, 0), []byte("r")); err != nil {
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				k := testKey(byte((w + i) % keys))
+				if _, ok := s.Get(k); ok {
+					continue
+				}
+				if err := s.Put(k, payload); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := s.Put(PatternKey(1, arch.Region{U0: 0, U1: 1}), []byte("p1")); err != nil {
+
+	st := s.Stats()
+	if st.Corrupt != 0 {
+		t.Fatalf("%d concurrent evictions were counted as corruption", st.Corrupt)
+	}
+	onDisk := map[Key]int64{}
+	var total int64
+	shards, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(PatternKey(1, arch.Region{U0: 2, U1: 3}), []byte("p2")); err != nil {
-		t.Fatal(err)
+	for _, d := range shards {
+		if !d.IsDir() {
+			continue
+		}
+		files, err := os.ReadDir(filepath.Join(dir, d.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			k, ok := parseFilename(f.Name())
+			if !ok {
+				continue
+			}
+			info, err := f.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			onDisk[k] = info.Size()
+			total += info.Size()
+		}
 	}
-	if err := s.Put(PatternKey(2, arch.Region{U0: 0, U1: 1}), []byte("other-arch")); err != nil {
-		t.Fatal(err)
+	if st.Entries != len(onDisk) {
+		t.Fatalf("table holds %d entries, disk holds %d entry files", st.Entries, len(onDisk))
 	}
-	if got := len(s.Keys(KindPattern, 1)); got != 2 {
-		t.Fatalf("Keys(pattern, arch 1) = %d entries, want 2", got)
+	if st.Bytes != total {
+		t.Fatalf("table accounts %d bytes, entry files hold %d", st.Bytes, total)
 	}
-	if got := len(s.Keys(KindResult, 1)); got != 1 {
-		t.Fatalf("Keys(result, arch 1) = %d entries, want 1", got)
+	// Every file is indexed and every indexed key has its file: a lookup
+	// hits exactly the keys on disk and finds nothing damaged.
+	for i := 0; i < keys; i++ {
+		k := testKey(byte(i))
+		_, hit := s.Get(k)
+		if _, file := onDisk[k]; hit != file {
+			t.Fatalf("key %d: lookup hit = %v but entry file present = %v", i, hit, file)
+		}
+	}
+	if st := s.Stats(); st.Corrupt != 0 {
+		t.Fatalf("an indexed entry had no intact file: corrupt = %d", st.Corrupt)
 	}
 }
 

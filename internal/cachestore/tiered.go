@@ -1,8 +1,9 @@
 package cachestore
 
 import (
-	"container/list"
 	"sync"
+
+	"github.com/ata-pattern/ataqc/internal/lru"
 )
 
 // Tier names which cache level answered a lookup.
@@ -26,16 +27,10 @@ type Tiered struct {
 	disk *Store
 
 	mu  sync.Mutex
-	mem map[Key]*list.Element
-	lru *list.List // front = most recent; values are *memEnt
+	mem lru.List[Key, []byte]
 	cap int
 
 	memHits, diskHits, misses int64
-}
-
-type memEnt struct {
-	key     Key
-	payload []byte
 }
 
 // DefaultMemEntries bounds NewTiered(_, 0): result payloads are a few KB
@@ -48,25 +43,15 @@ func NewTiered(disk *Store, memEntries int) *Tiered {
 	if memEntries <= 0 {
 		memEntries = DefaultMemEntries
 	}
-	return &Tiered{
-		disk: disk,
-		mem:  make(map[Key]*list.Element),
-		lru:  list.New(),
-		cap:  memEntries,
-	}
+	return &Tiered{disk: disk, cap: memEntries}
 }
-
-// Disk exposes the persistent tier (nil when memory-only).
-func (t *Tiered) Disk() *Store { return t.disk }
 
 // Get returns the payload for k and the tier that answered. The returned
 // slice is shared with the cache: callers must treat it as read-only.
 func (t *Tiered) Get(k Key) ([]byte, Tier, bool) {
 	t.mu.Lock()
-	if el, ok := t.mem[k]; ok {
-		t.lru.MoveToFront(el)
+	if p, ok := t.mem.Get(k); ok {
 		t.memHits++
-		p := el.Value.(*memEnt).payload
 		t.mu.Unlock()
 		return p, TierMem, true
 	}
@@ -100,21 +85,14 @@ func (t *Tiered) Put(k Key, payload []byte) error {
 	return t.disk.Put(k, payload)
 }
 
+// insertLocked stores (or replaces) payload as the most recent entry,
+// then evicts the least recent ones down to the cap.
 func (t *Tiered) insertLocked(k Key, payload []byte) {
-	if el, ok := t.mem[k]; ok {
-		el.Value.(*memEnt).payload = payload
-		t.lru.MoveToFront(el)
-		return
+	t.mem.Put(k, payload, 1)
+	for t.mem.Len() > t.cap {
+		oldest, _, _ := t.mem.Oldest()
+		t.mem.Remove(oldest)
 	}
-	for t.lru.Len() >= t.cap {
-		oldest := t.lru.Back()
-		if oldest == nil {
-			break
-		}
-		t.lru.Remove(oldest)
-		delete(t.mem, oldest.Value.(*memEnt).key)
-	}
-	t.mem[k] = t.lru.PushFront(&memEnt{key: k, payload: payload})
 }
 
 // Close closes the disk tier (no-op when memory-only).
@@ -139,7 +117,7 @@ func (t *Tiered) Stats() TieredStats {
 		MemHits:    t.memHits,
 		DiskHits:   t.diskHits,
 		Misses:     t.misses,
-		MemEntries: t.lru.Len(),
+		MemEntries: t.mem.Len(),
 	}
 	t.mu.Unlock()
 	if t.disk != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
@@ -19,8 +18,10 @@ import (
 
 // Cache is the compilation cache CompileCached consults: a two-tier
 // (memory + optional disk) result store keyed by canonical problem
-// identity, plus a pattern cache shared across every compile it serves —
-// warm-start state the ataqc-warm sweeper can preload.
+// identity, plus an in-process pattern cache shared across every compile
+// it serves. Only results persist: pattern geometry is a cheap function
+// of the architecture and region bounds, so it is recomputed on first
+// use rather than stored.
 //
 // The correctness contract, in two parts:
 //
@@ -47,9 +48,6 @@ type Cache struct {
 	patterns *swapnet.PatternCache
 	corrupt  atomic.Int64
 	putFails atomic.Int64
-	// warmed records architecture fingerprints whose persisted pattern
-	// records have been pulled into the pattern cache (once per arch).
-	warmed sync.Map
 }
 
 // NewCache wraps a tiered result store (nil = no result caching, the
@@ -58,12 +56,6 @@ type Cache struct {
 func NewCache(store *cachestore.Tiered) *Cache {
 	return &Cache{store: store, patterns: swapnet.NewPatternCache(0)}
 }
-
-// Patterns exposes the shared pattern cache (for warm-start preloading).
-func (c *Cache) Patterns() *swapnet.PatternCache { return c.patterns }
-
-// Store exposes the tiered result store (nil when result caching is off).
-func (c *Cache) Store() *cachestore.Tiered { return c.store }
 
 // Close closes the underlying disk store, if any.
 func (c *Cache) Close() error {
@@ -104,8 +96,9 @@ func (c *Cache) Stats() CacheStats {
 // CompileCached is CompileContext through a compilation cache. On a hit
 // the stored circuit is translated into the request's frame, strictly
 // verified, and returned with Stats.CacheTier naming the tier that
-// answered; on a miss it compiles (sharing cache.Patterns() across the
-// prediction and materialisation engines) and persists the result.
+// answered; on a miss it compiles (sharing the cache's pattern cache
+// across the prediction and materialisation engines) and persists the
+// result.
 //
 // Bypasses — requests that go straight to CompileContext, uncached:
 //
@@ -125,7 +118,6 @@ func CompileCached(ctx context.Context, a *arch.Arch, problem *graph.Graph, opts
 	if cache.store == nil {
 		return CompileContext(ctx, a, problem, opts)
 	}
-	cache.ensureWarm(a)
 
 	rec := newRecorder(opts.Trace)
 	start := rec.clock.Now()
@@ -153,60 +145,6 @@ func CompileCached(ctx context.Context, a *arch.Arch, problem *graph.Graph, opts
 		cache.putFails.Add(1)
 	}
 	return res, err
-}
-
-// ensureWarm pulls a's persisted pattern records into the pattern cache,
-// at most once per architecture fingerprint for the cache's lifetime.
-// This is how ataqc-warm's precomputation reaches a compile: the sweeper
-// writes pattern records to the disk store, and the first compile that
-// sees the architecture installs them.
-func (c *Cache) ensureWarm(a *arch.Arch) {
-	fp := a.Fingerprint()
-	if _, done := c.warmed.LoadOrStore(fp, struct{}{}); done {
-		return
-	}
-	c.loadPatterns(fp)
-}
-
-// PreloadPatterns eagerly loads a's persisted pattern records, returning
-// how many were installed. CompileCached does this lazily on the first
-// compile per architecture; the method exists for callers that want the
-// cost paid up front (daemon start-up, benchmarks).
-func (c *Cache) PreloadPatterns(a *arch.Arch) int {
-	if c.store == nil {
-		return 0
-	}
-	fp := a.Fingerprint()
-	c.warmed.Store(fp, struct{}{})
-	return c.loadPatterns(fp)
-}
-
-// loadPatterns decodes every disk-tier pattern record keyed to fp and
-// installs it. Pattern geometry is structural (derived from the
-// architecture alone, checksummed on disk, first-install-wins in the
-// pattern cache), so unlike result records it needs no per-use
-// re-verification; a record that fails to decode counts as corrupt and
-// is skipped.
-func (c *Cache) loadPatterns(fp uint64) int {
-	disk := c.store.Disk()
-	if disk == nil {
-		return 0
-	}
-	installed := 0
-	for _, k := range disk.Keys(cachestore.KindPattern, fp) {
-		payload, ok := disk.Get(k)
-		if !ok {
-			continue
-		}
-		rec, err := cachestore.DecodePattern(payload)
-		if err != nil {
-			c.corrupt.Add(1)
-			continue
-		}
-		c.patterns.PreloadRegion(fp, rec)
-		installed++
-	}
-	return installed
 }
 
 // optionsDigest hashes the options that change the compiled circuit.

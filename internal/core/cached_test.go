@@ -447,6 +447,20 @@ func TestCompileCachedKeyDiscrimination(t *testing.T) {
 	if res.Stats.CacheTier != "" {
 		t.Fatalf("initial-mapping request touched the cache (tier %q)", res.Stats.CacheTier)
 	}
+
+	// A cache without a result store shares only its pattern cache: the
+	// compile is fresh, and closing it is a no-op.
+	none := NewCache(nil)
+	res, err = CompileCached(ctx, a, p, Options{Workers: 1}, none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CacheTier != "" {
+		t.Fatalf("store-less cache reported tier %q", res.Stats.CacheTier)
+	}
+	if err := none.Close(); err != nil {
+		t.Fatalf("store-less close: %v", err)
+	}
 }
 
 // TestCompileCachedSurvivesCorruptEntry: a damaged disk entry (or a
@@ -472,8 +486,13 @@ func TestCompileCachedSurvivesCorruptEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Evict mem (cap 2) then corrupt every on-disk entry.
-	for _, k := range store.Keys(cachestore.KindResult, a.Fingerprint()) {
+	// Evict mem (cap 2) then corrupt every on-disk entry, addressed the
+	// way CompileCached derives its keys.
+	opts := Options{Workers: 1}
+	opts.applyDefaults()
+	for _, p := range ps {
+		_, hash := graph.CanonicalForm(p)
+		k := cachestore.ResultKey(a.Fingerprint(), hash, optionsDigest(a, &opts))
 		if err := store.Put(k, []byte("rotten")); err != nil {
 			t.Fatal(err)
 		}

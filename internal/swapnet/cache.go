@@ -1,12 +1,12 @@
 package swapnet
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/graph"
+	"github.com/ata-pattern/ataqc/internal/lru"
 )
 
 // PatternCache memoises the region-derived structures the ATA patterns
@@ -46,8 +46,7 @@ const (
 
 type pcShard struct {
 	mu  sync.Mutex
-	m   map[pcKey]*list.Element
-	lru list.List // front = most recent; values are *pcNode
+	lru lru.List[pcKey, any]
 }
 
 // pcKey identifies a cache entry. Structural entries (region-derived
@@ -59,11 +58,6 @@ type pcKey struct {
 	choice bool
 	occ    uint64
 	want   uint64
-}
-
-type pcNode struct {
-	key pcKey
-	val any
 }
 
 // regionInfo is a structural entry: everything about a region that depends
@@ -105,8 +99,7 @@ func NewPatternCache(capacity int) *PatternCache {
 	}
 	per, extra := capacity/pcShardCount, capacity%pcShardCount
 	c := &PatternCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[pcKey]*list.Element)
+	for i := range c.shardCap {
 		c.shardCap[i] = per
 		if i < extra {
 			c.shardCap[i]++
@@ -134,7 +127,7 @@ func (c *PatternCache) Stats() CacheStats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Entries += len(sh.m)
+		s.Entries += sh.lru.Len()
 		sh.mu.Unlock()
 	}
 	return s
@@ -171,10 +164,9 @@ func (c *PatternCache) get(k pcKey) (any, bool) {
 	sh := &c.shards[k.shard()]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.m[k]; ok {
-		sh.lru.MoveToFront(el)
+	if v, ok := sh.lru.Get(k); ok {
 		c.hits.Add(1)
-		return el.Value.(*pcNode).val, true
+		return v, true
 	}
 	c.misses.Add(1)
 	return nil, false
@@ -187,19 +179,15 @@ func (c *PatternCache) put(k pcKey, v any) {
 	sh := &c.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.m[k]; ok {
+	if _, ok := sh.lru.Peek(k); ok {
 		return
 	}
 	for sh.lru.Len() >= c.shardCap[idx] {
-		oldest := sh.lru.Back()
-		if oldest == nil {
-			break
-		}
+		oldest, _, _ := sh.lru.Oldest()
 		sh.lru.Remove(oldest)
-		delete(sh.m, oldest.Value.(*pcNode).key)
 		c.evictions.Add(1)
 	}
-	sh.m[k] = sh.lru.PushFront(&pcNode{key: k, val: v})
+	sh.lru.Put(k, v, 1)
 }
 
 // structural returns the memoised region geometry, computing it on miss.
