@@ -67,6 +67,17 @@ func HexagonDevice(n int) *Device { return &Device{arch: arch.HexagonN(n)} }
 // MumbaiDevice returns the 27-qubit IBM Mumbai coupling map.
 func MumbaiDevice() *Device { return &Device{arch: arch.Mumbai()} }
 
+// NewDevice returns the named family's device (line, grid, sycamore,
+// heavy-hex, hexagon or mumbai) sized for n qubits, as the constructors
+// above do; an unknown family or n < 1 is an error.
+func NewDevice(family string, n int) (*Device, error) {
+	a, err := arch.ByFamily(family, n)
+	if err != nil {
+		return nil, err
+	}
+	return &Device{arch: a}, nil
+}
+
 // WithSyntheticNoise attaches a seeded synthetic calibration (IBM-like
 // error-rate magnitudes and variability) and returns the device.
 func (d *Device) WithSyntheticNoise(seed int64) *Device {
@@ -111,6 +122,10 @@ func (p *Problem) Qubits() int { return p.g.N() }
 
 // Interactions returns the number of two-qubit operators.
 func (p *Problem) Interactions() int { return p.g.M() }
+
+// Density returns 2m/(n(n-1)), the fraction of all-to-all interactions
+// present (0 below two qubits).
+func (p *Problem) Density() float64 { return p.g.Density() }
 
 // InteractionList returns every two-qubit operator as a canonical (u < v)
 // pair, sorted.
@@ -429,21 +444,23 @@ func (r *Result) FinalMapping() []int {
 // Diagnostic is one finding from the static circuit verifier: a named
 // analyzer, a severity, the offending gate's index in the compiled stream
 // (-1 for circuit-level findings), the gate's operands, and a
-// human-readable message.
+// human-readable message. Its JSON form is one `ataqc lint -json` line.
 type Diagnostic struct {
-	Analyzer string // e.g. "arch-conformance", "sema", "dead-swap"
-	Severity string // "error" or "warning"
-	Gate     int    // gate index; -1 = whole-circuit finding
+	Analyzer string `json:"analyzer"` // e.g. "arch-conformance", "sema", "dead-swap"
+	Severity string `json:"severity"` // "error" or "warning"
+	Gate     int    `json:"gate"`     // gate index; -1 = whole-circuit finding
 	// Kind is the offending gate's mnemonic ("zz", "swap", ...); empty for
 	// circuit-level findings.
-	Kind string
+	Kind string `json:"kind,omitempty"`
 	// Q0, Q1 are the gate's physical operands (Q1 = -1 for 1q gates; both
 	// -1 for circuit-level findings).
-	Q0, Q1 int
+	Q0 int `json:"q0"`
+	Q1 int `json:"q1"`
 	// L0, L1 are the logical qubits resident on Q0/Q1 when the gate
 	// executes (-1 when unknown).
-	L0, L1  int
-	Message string
+	L0      int    `json:"l0"`
+	L1      int    `json:"l1"`
+	Message string `json:"message"`
 }
 
 func (d Diagnostic) String() string {
@@ -465,9 +482,9 @@ func (d Diagnostic) String() string {
 // A skipped analyzer proves nothing about its invariant, so CI that diffs
 // lint output should also diff the status list.
 type AnalyzerStatus struct {
-	Analyzer string // analyzer name
-	Skipped  bool   // true when required context was missing
-	Reason   string // which context was missing ("" when it ran)
+	Analyzer string `json:"analyzer"`         // analyzer name
+	Skipped  bool   `json:"skipped"`          // true when required context was missing
+	Reason   string `json:"reason,omitempty"` // which context was missing ("" when it ran)
 }
 
 // Lint runs every verification analyzer over the compiled circuit: coupling

@@ -4,7 +4,7 @@ package ataqc
 // plus the ablations A1–A3. Each benchmark runs a laptop-scale version of
 // the experiment and reports the headline quantities as custom metrics, so
 // `go test -bench=. -benchmem` regenerates the whole evaluation's shape;
-// `cmd/experiments` runs the full-scale versions.
+// `ataqc experiments` runs the full-scale versions.
 
 import (
 	"math/rand"

@@ -1,222 +1,144 @@
-// Command ataqc compiles a problem graph — synthetic or loaded from an edge
-// list — onto a regular quantum architecture and reports the paper's
-// metrics.
+// Command ataqc compiles problem graphs onto regular quantum architectures
+// and carries the rest of the paper's workflow as subcommands:
 //
-// Usage:
+//	ataqc [flags]               compile a problem graph
+//	ataqc solve [flags]         depth-optimal A* search on a small instance (§4)
+//	ataqc lint [flags]          static verification of a compiled circuit
+//	ataqc experiments [flags]   regenerate the evaluation tables and figures (§7)
+//	ataqc warm [flags]          precompile a workload into a cache directory
+//
+// Compiling takes a synthetic problem or an edge list (one "u v" pair per
+// line, 0-based vertex ids; blank lines and '#' comments are ignored):
 //
 //	ataqc -arch heavy-hex -n 64 -density 0.3 -strategy hybrid
-//	ataqc -arch mumbai -n 10 -density 0.3 -noise -qasm out.qasm
-//	ataqc -arch grid -problem edges.txt -json
+//	ataqc -arch grid -problem edges.txt -json -qasm out.qasm
 //
-// The edge-list format is one "u v" pair per line (0-based vertex ids);
-// blank lines and lines starting with '#' are ignored.
+// Every subcommand takes -h for its flags. Exit codes: 0 success, 1 a
+// failed run, 2 bad usage; lint documents its own 0/1/2 contract.
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime/pprof"
 	"slices"
+	"time"
 
-	"github.com/ata-pattern/ataqc"
+	"github.com/ata-pattern/ataqc/internal/obs"
 )
 
-func main() {
-	var (
-		family   = flag.String("arch", "heavy-hex", "architecture family: line, grid, sycamore, heavy-hex, hexagon, mumbai")
-		n        = flag.Int("n", 64, "number of logical qubits")
-		density  = flag.Float64("density", 0.3, "problem graph density")
-		regular  = flag.Bool("regular", false, "use a random regular graph instead of G(n,p)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		strategy = flag.String("strategy", "hybrid", "hybrid, greedy, ata, 2qan, qaim, paulihedral")
-		noisy    = flag.Bool("noise", false, "attach a synthetic calibration and compile noise-aware")
-		qasmOut  = flag.String("qasm", "", "write the compiled circuit as OpenQASM 2.0 to this file")
-		probFile = flag.String("problem", "", "load the problem graph from an edge-list file instead of generating one")
-		asJSON   = flag.Bool("json", false, "emit the result as JSON")
-		showArch = flag.Bool("show-arch", false, "print an ASCII picture of the device and exit")
-		showSch  = flag.Bool("schedule", false, "print the compiled schedule cycle by cycle")
-		timeout  = flag.Duration("timeout", 0, "wall-clock compile budget, e.g. 30s (0 = unbounded); on expiry the compiler degrades to the linear-depth ATA fallback")
-		workers  = flag.Int("workers", 0, "hybrid prediction workers (0 = GOMAXPROCS, 1 = serial); the compiled circuit is identical for every value")
-		traceOut = flag.String("trace", "", "record the compile's execution trace to this file (tracing never changes the circuit)")
-		traceFmt = flag.String("trace-format", "chrome", "trace format: chrome (load in ui.perfetto.dev), jsonl, or text")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file; compiler phases carry ataqc_phase/ataqc_worker pprof labels")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if !slices.Contains(ataqc.TraceFormats, *traceFmt) {
-		log.Fatalf("unknown -trace-format %q (want one of %v)", *traceFmt, ataqc.TraceFormats)
+// subcommands maps each subcommand name to its entry point; bare flags (or
+// no arguments at all) select the compiler.
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
+	"solve":       runSolve,
+	"lint":        runLint,
+	"experiments": runExperiments,
+	"warm":        runWarm,
+}
+
+// run dispatches args to a subcommand and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || len(args[0]) > 0 && args[0][0] == '-' {
+		return runCompile(args, stdout, stderr)
 	}
-
-	// Flag values feed generators and device constructors that treat bad
-	// sizes as internal invariants; reject them at the user-input boundary.
-	if *probFile == "" {
-		if *n < 2 {
-			log.Fatalf("-n must be at least 2 (got %d)", *n)
-		}
-		if *density <= 0 || *density > 1 {
-			log.Fatalf("-density must be in (0,1] (got %g)", *density)
-		}
+	cmd, ok := subcommands[args[0]]
+	if !ok {
+		fmt.Fprintf(stderr, "ataqc: unknown subcommand %q (want solve, lint, experiments or warm, or flags to compile)\n", args[0])
+		return 2
 	}
+	return cmd(args[1:], stdout, stderr)
+}
 
-	// The problem comes first: a file-loaded instance determines the
-	// device size.
-	var prob *ataqc.Problem
-	switch {
-	case *probFile != "":
-		var err error
-		prob, err = ataqc.LoadProblem(*probFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		*n = prob.Qubits()
-	case *regular:
-		var err error
-		prob, err = ataqc.RegularProblem(*n, *density, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
+// parse parses args into fs, reporting errors and usage on stderr. ok is
+// false when the caller should return code at once: -h printed the usage
+// (0) or a flag was malformed (2).
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) (code int, ok bool) {
+	fs.SetOutput(stderr)
+	switch err := fs.Parse(args); {
+	case err == nil:
+		return 0, true
+	case errors.Is(err, flag.ErrHelp):
+		return 0, false
 	default:
-		prob = ataqc.RandomProblem(*n, *density, *seed)
+		return 2, false
 	}
+}
 
-	var dev *ataqc.Device
-	switch *family {
-	case "line":
-		dev = ataqc.LineDevice(*n)
-	case "grid":
-		dev = ataqc.GridDevice(*n)
-	case "sycamore":
-		dev = ataqc.SycamoreDevice(*n)
-	case "heavy-hex", "heavyhex":
-		dev = ataqc.HeavyHexDevice(*n)
-	case "hexagon":
-		dev = ataqc.HexagonDevice(*n)
-	case "mumbai":
-		dev = ataqc.MumbaiDevice()
-	default:
-		log.Fatalf("unknown architecture %q", *family)
-	}
-	if *noisy {
-		dev = dev.WithSyntheticNoise(*seed)
-	}
-	if *showArch {
-		fmt.Printf("%s (%d qubits)\n%s", dev.Name(), dev.Qubits(), dev.Render())
-		return
-	}
+// fail reports err and returns exit code 1.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, err)
+	return 1
+}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+// checkTraceFormat rejects a -trace-format value no exporter handles.
+func checkTraceFormat(format string) error {
+	if !slices.Contains(obs.Formats, format) {
+		return fmt.Errorf("unknown -trace-format %q (want one of %v)", format, obs.Formats)
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	return nil
+}
+
+// startCPUProfile starts a CPU profile into path ("" = none). The returned
+// stop flushes and closes it, reporting a failed close on stderr; callers
+// defer it, so a run that fails after this point still leaves a complete
+// profile.
+func startCPUProfile(path string, stderr io.Writer) (stop func(), err error) {
+	if path == "" {
+		return func() {}, nil
 	}
-	var tr *ataqc.Trace
-	if *traceOut != "" {
-		tr = ataqc.NewTrace()
-	}
-	res, err := ataqc.CompileContext(ctx, dev, prob, ataqc.Options{
-		Strategy:   ataqc.Strategy(*strategy),
-		NoiseAware: *noisy,
-		Workers:    *workers,
-		Trace:      tr,
-	})
+	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tr.WriteFormat(f, *traceFmt); err != nil {
-			log.Fatal(err)
-		}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(stderr, "cpuprofile:", err)
 		}
-		fmt.Fprintf(os.Stderr, "trace: %s (%s)\n", *traceOut, *traceFmt)
-	}
-	if res.Degraded() {
-		fmt.Fprintf(os.Stderr, "note: compile budget ran out; degraded to the structured ATA fallback (%s)\n", res.DegradeReason())
-	}
+	}, nil
+}
 
-	// The QASM file is written before the output branches so -json and
-	// -qasm compose: JSON on stdout, circuit on disk.
-	if *qasmOut != "" {
-		f, err := os.Create(*qasmOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.WriteQASM(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+// withTimeout bounds ctx by d (0 = unbounded).
+func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
 	}
+	return context.WithCancel(ctx)
+}
 
-	if *asJSON {
-		out := map[string]any{
-			"device":       dev.Name(),
-			"deviceQubits": dev.Qubits(),
-			"qubits":       prob.Qubits(),
-			"interactions": prob.Interactions(),
-			"strategy":     *strategy,
-			"depth":        res.Depth(),
-			"cxCount":      res.CXCount(),
-			"swaps":        res.SwapCount(),
-			"initial":      res.InitialMapping(),
-			"final":        res.FinalMapping(),
-		}
-		if res.Degraded() {
-			out["degraded"] = true
-			out["degradeReason"] = res.DegradeReason()
-		}
-		if *noisy {
-			out["estimatedFidelity"] = res.EstimatedFidelity()
-		}
-		if *qasmOut != "" {
-			out["qasm"] = *qasmOut
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
+// writeTrace exports tr to path in format ("" path = tracing off) and
+// notes the file on stderr.
+func writeTrace(stderr io.Writer, tr interface{ WriteFormat(io.Writer, string) error }, path, format string) error {
+	if path == "" {
+		return nil
 	}
+	err := writeFile(path, func(w io.Writer) error { return tr.WriteFormat(w, format) })
+	if err == nil {
+		fmt.Fprintf(stderr, "trace: %s (%s)\n", path, format)
+	}
+	return err
+}
 
-	fmt.Printf("device:        %s (%d qubits)\n", dev.Name(), dev.Qubits())
-	fmt.Printf("problem:       %d qubits, %d interactions (density %.2f)\n",
-		prob.Qubits(), prob.Interactions(), *density)
-	fmt.Printf("strategy:      %s\n", *strategy)
-	fmt.Printf("depth:         %d\n", res.Depth())
-	fmt.Printf("CX count:      %d\n", res.CXCount())
-	fmt.Printf("SWAPs:         %d\n", res.SwapCount())
-	if *noisy {
-		fmt.Printf("est. fidelity: %.4g\n", res.EstimatedFidelity())
+// writeFile creates path and fills it with write, returning the first
+// error of the create, the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if *showSch {
-		if err := res.WriteSchedule(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	if *qasmOut != "" {
-		fmt.Printf("qasm:          %s\n", *qasmOut)
-	}
+	return f.Close()
 }

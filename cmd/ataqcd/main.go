@@ -68,7 +68,7 @@ func main() {
 	// The daemon always compiles through a cache: memory-only by default
 	// (repeat submissions of the same problem are served from RAM), plus a
 	// persistent disk tier when -cache-dir is given so warm state survives
-	// restarts and ataqc-warm precomputation pays off.
+	// restarts and `ataqc warm` precomputation pays off.
 	var cache *ataqc.Cache
 	if *cacheDir != "" {
 		var err error

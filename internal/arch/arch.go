@@ -46,6 +46,33 @@ func (k Kind) String() string {
 	}
 }
 
+// ByFamily returns the minimum near-square architecture of the named
+// family that fits n qubits (§7.1): line, grid, sycamore, heavy-hex (alias
+// heavyhex), hexagon, or the fixed 27-qubit mumbai (n ignored). Names come
+// from user input, so an unknown family or n < 1 is an error, not a panic.
+func ByFamily(family string, n int) (*Arch, error) {
+	if family == "mumbai" {
+		return Mumbai(), nil
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("architecture needs at least 1 qubit, got %d", n)
+	}
+	switch family {
+	case "line":
+		return Line(n), nil
+	case "grid":
+		return GridN(n), nil
+	case "sycamore":
+		return SycamoreN(n), nil
+	case "heavy-hex", "heavyhex":
+		return HeavyHexN(n), nil
+	case "hexagon":
+		return HexagonN(n), nil
+	default:
+		return nil, fmt.Errorf("unknown architecture family %q", family)
+	}
+}
+
 // Coord locates a physical qubit in the architecture's geometry. For 2D
 // families Z is 0. For heavy-hex, bridge (off-path) qubits have Bridge=true.
 type Coord struct {

@@ -373,6 +373,39 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+func TestByFamily(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		kind   Kind
+	}{
+		{"line", KindLine},
+		{"grid", KindGrid},
+		{"sycamore", KindSycamore},
+		{"heavy-hex", KindHeavyHex},
+		{"heavyhex", KindHeavyHex},
+		{"hexagon", KindHexagon},
+	} {
+		a, err := ByFamily(tc.family, 30)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.family, err)
+		}
+		if a.Kind != tc.kind || a.N() < 30 {
+			t.Fatalf("%s: got %s with %d qubits, want %s with >= 30", tc.family, a.Kind, a.N(), tc.kind)
+		}
+	}
+	if a, err := ByFamily("mumbai", 5); err != nil || a.N() != 27 {
+		t.Fatalf("mumbai: %v, %v", a, err)
+	}
+	if _, err := ByFamily("torus", 30); err == nil || !strings.Contains(err.Error(), "torus") {
+		t.Fatalf("unknown family: err = %v, want one naming torus", err)
+	}
+	for _, n := range []int{0, -3} {
+		if _, err := ByFamily("grid", n); err == nil {
+			t.Fatalf("%d-qubit architecture accepted", n)
+		}
+	}
+}
+
 func TestRenderAllFamilies(t *testing.T) {
 	for _, a := range []*Arch{
 		Line(5), Grid(3, 4), Sycamore(3, 3), HeavyHex(2, 8), Hexagon(4, 4),

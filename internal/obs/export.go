@@ -39,6 +39,23 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
+// Formats lists the export formats WriteFormat accepts.
+var Formats = []string{"chrome", "jsonl", "text"}
+
+// WriteFormat exports in the named format: "chrome", "jsonl", or "text".
+func (t *Trace) WriteFormat(w io.Writer, format string) error {
+	switch format {
+	case "chrome":
+		return t.WriteChrome(w)
+	case "jsonl":
+		return t.WriteJSONL(w)
+	case "text":
+		return t.WriteText(w)
+	default:
+		return fmt.Errorf("unknown trace format %q (want chrome, jsonl, or text)", format)
+	}
+}
+
 // WriteChrome exports the trace as Chrome trace_event JSON — load the file
 // in chrome://tracing or ui.perfetto.dev. Spans become complete ("X")
 // events, instant events "i" markers, and every counter/gauge one final
@@ -108,7 +125,7 @@ type jsonlRecord struct {
 
 // WriteJSONL exports the trace as a flat JSONL event log: one
 // self-describing JSON object per line — spans and events in creation
-// order, then every metric. The shape is shared with `ataqc-lint -json`
+// order, then every metric. The shape is shared with `ataqc lint -json`
 // findings: line-oriented JSON that CI annotations can consume uniformly.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +161,34 @@ func TestExportersDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("identical traces must export byte-identical Chrome JSON")
+	}
+}
+
+// TestWriteFormatDispatches: every listed format reaches its exporter
+// byte for byte, and an unlisted one is an error.
+func TestWriteFormatDispatches(t *testing.T) {
+	tr := buildFixture()
+	exporters := map[string]func(*bytes.Buffer) error{
+		"chrome": func(b *bytes.Buffer) error { return tr.WriteChrome(b) },
+		"jsonl":  func(b *bytes.Buffer) error { return tr.WriteJSONL(b) },
+		"text":   func(b *bytes.Buffer) error { return tr.WriteText(b) },
+	}
+	if len(Formats) != len(exporters) {
+		t.Fatalf("Formats = %v, want the %d exporters", Formats, len(exporters))
+	}
+	for _, f := range Formats {
+		var got, want bytes.Buffer
+		if err := tr.WriteFormat(&got, f); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if err := exporters[f](&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: WriteFormat output differs from its exporter", f)
+		}
+	}
+	if err := tr.WriteFormat(io.Discard, "svg"); err == nil || !strings.Contains(err.Error(), "svg") {
+		t.Fatalf("unknown format: err = %v, want one naming svg", err)
 	}
 }

@@ -387,3 +387,28 @@ func TestStatzReportsCounters(t *testing.T) {
 		t.Fatalf("statz counters %v, want serve.ok=1 serve.requests=1", m.Counters)
 	}
 }
+
+// TestDeviceRejectionMessages pins the 400 messages of the architecture
+// lookup, which clients match on.
+func TestDeviceRejectionMessages(t *testing.T) {
+	for _, tc := range []struct {
+		req  CompileRequest
+		want string
+	}{
+		{CompileRequest{Arch: "warp"}, `unknown architecture "warp"`},
+		{CompileRequest{}, "arch is required"},
+		{CompileRequest{Arch: "custom", N: 4}, "custom architecture requires couplings"},
+		{CompileRequest{Arch: "custom", Couplings: [][2]int{{0, 1}}}, "custom architecture requires n"},
+	} {
+		_, err := tc.req.device(4)
+		var apiErr *apiError
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Message != tc.want {
+			t.Fatalf("arch %q: err = %v, want 400 %q", tc.req.Arch, err, tc.want)
+		}
+	}
+	for _, family := range []string{"line", "grid", "sycamore", "heavy-hex", "heavyhex", "hexagon", "mumbai"} {
+		if dev, err := (&CompileRequest{Arch: family}).device(8); err != nil || dev.Qubits() < 8 {
+			t.Fatalf("%s: %v", family, err)
+		}
+	}
+}

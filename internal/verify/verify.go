@@ -10,7 +10,7 @@
 // clean run proves nothing about angles or unitaries, only about structure.
 // The hybrid compiler (internal/core) runs the error-severity analyzers on
 // every output; the baselines and benchmarks run the same pass, and
-// cmd/ataqc-lint exposes it to CI over QASM or edge-list inputs.
+// `ataqc lint` (cmd/ataqc) exposes it to CI over QASM or edge-list inputs.
 package verify
 
 import (
