@@ -64,11 +64,39 @@ func EncodeResult(r *ResultRecord) []byte {
 	return w
 }
 
+// minGateBytes is the shortest encoding of one gate: six one-byte varints
+// and bools plus the 8-byte angle. A declared gate count the remaining
+// payload cannot hold is rejected before anyone sizes storage by it.
+const minGateBytes = 14
+
 // DecodeResult parses an EncodeResult payload.
 func DecodeResult(b []byte) (*ResultRecord, error) {
-	r := &reader{b: b}
+	out, gates, err := DecodeResultGates(b)
+	if err != nil {
+		return nil, err
+	}
+	if gates.Len() > 0 {
+		out.Gates = make([]GateRecord, gates.Len())
+		for i := range out.Gates {
+			if !gates.Next(&out.Gates[i]) {
+				break
+			}
+		}
+	}
+	if err := gates.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecodeResultGates parses an EncodeResult payload up to its gate list and
+// returns the record (Gates nil) with a reader over the gates, so a
+// caller can decode them straight into its own representation. The
+// payload is only fully validated once the reader's Err reports nil.
+func DecodeResultGates(b []byte) (*ResultRecord, GateReader, error) {
+	r := reader{b: b}
 	if r.byte() != resultRecordVersion {
-		return nil, ErrCorrupt
+		return nil, GateReader{}, ErrCorrupt
 	}
 	out := &ResultRecord{
 		Source:         r.str(),
@@ -79,31 +107,50 @@ func DecodeResult(b []byte) (*ResultRecord, error) {
 		Final:          r.intSlice(),
 	}
 	n := r.length()
+	if r.failed || n > len(r.b)/minGateBytes {
+		return nil, GateReader{}, ErrCorrupt
+	}
+	return out, GateReader{r: r, n: n}, nil
+}
+
+// GateReader yields a result record's gates in order.
+type GateReader struct {
+	r    reader
+	n, i int
+}
+
+// Len returns the declared gate count, already bounded by the payload
+// size.
+func (g *GateReader) Len() int { return g.n }
+
+// Next decodes the next gate into gate and reports whether it did: false
+// at the end of the list or on a malformed gate (Err tells which).
+func (g *GateReader) Next(gate *GateRecord) bool {
+	if g.i >= g.n || g.r.failed {
+		return false
+	}
+	r := &g.r
+	gate.Kind = r.int()
+	gate.Q0 = r.int()
+	gate.Q1 = r.int()
+	gate.Angle = math.Float64frombits(r.uint64())
+	gate.TagU = r.int()
+	gate.TagV = r.int()
+	gate.Tagged = r.bool()
 	if r.failed {
-		return nil, ErrCorrupt
+		return false
 	}
-	if n > 0 {
-		out.Gates = make([]GateRecord, 0, min(n, 4096))
+	g.i++
+	return true
+}
+
+// Err returns ErrCorrupt unless every declared gate decoded and the
+// payload ended exactly after the last one.
+func (g *GateReader) Err() error {
+	if g.i != g.n || !g.r.done() {
+		return ErrCorrupt
 	}
-	for i := 0; i < n; i++ {
-		g := GateRecord{
-			Kind:  r.int(),
-			Q0:    r.int(),
-			Q1:    r.int(),
-			Angle: math.Float64frombits(r.uint64()),
-			TagU:  r.int(),
-			TagV:  r.int(),
-		}
-		g.Tagged = r.bool()
-		if r.failed {
-			return nil, ErrCorrupt
-		}
-		out.Gates = append(out.Gates, g)
-	}
-	if !r.done() {
-		return nil, ErrCorrupt
-	}
-	return out, nil
+	return nil
 }
 
 // --- codec plumbing ---

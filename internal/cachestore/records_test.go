@@ -92,3 +92,30 @@ func TestKeyFilenameRoundTrip(t *testing.T) {
 		t.Fatal("junk filename parsed")
 	}
 }
+
+// TestDecodeResultGatesStreams: the gate reader yields exactly the gates
+// DecodeResult collects, and a gate count the payload cannot hold is
+// rejected before any gate is read.
+func TestDecodeResultGatesStreams(t *testing.T) {
+	in := sampleResult()
+	rec, gates, err := DecodeResultGates(EncodeResult(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Gates != nil || gates.Len() != len(in.Gates) {
+		t.Fatalf("header: Gates %v, Len %d", rec.Gates, gates.Len())
+	}
+	var got []GateRecord
+	for g := (GateRecord{}); gates.Next(&g); {
+		got = append(got, g)
+	}
+	if err := gates.Err(); err != nil || !reflect.DeepEqual(got, in.Gates) {
+		t.Fatalf("streamed gates %+v (err %v), want %+v", got, err, in.Gates)
+	}
+
+	hostile := EncodeResult(&ResultRecord{Source: "x"})
+	hostile[len(hostile)-1] = 0x7f // declare 127 gates, supply none
+	if _, _, err := DecodeResultGates(append(hostile, make([]byte, 100)...)); err == nil {
+		t.Fatal("gate count beyond the payload accepted")
+	}
+}

@@ -251,7 +251,7 @@ func toCanonicalRecord(res *Result, perm []int, n int) *cachestore.ResultRecord 
 // compile must clear. Every field is bounds-checked first: the record is
 // untrusted input and must never panic the caller.
 func rehydrate(payload []byte, perm []int, a *arch.Arch, problem *graph.Graph, opts Options) (*Result, error) {
-	rec, err := cachestore.DecodeResult(payload)
+	rec, gates, err := cachestore.DecodeResultGates(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -273,8 +273,9 @@ func rehydrate(payload []byte, perm []int, a *arch.Arch, problem *graph.Graph, o
 		final[l] = rec.Final[perm[l]]
 	}
 	c := circuit.New(a.N())
-	c.Gates = make([]circuit.Gate, len(rec.Gates))
-	for i, gr := range rec.Gates {
+	c.Gates = make([]circuit.Gate, 0, gates.Len())
+	for gr := (cachestore.GateRecord{}); gates.Next(&gr); {
+		i := len(c.Gates)
 		k := circuit.Kind(gr.Kind)
 		if k < 0 || k > circuit.GateZZSwap {
 			return nil, fmt.Errorf("core: cached gate %d has unknown kind %d", i, gr.Kind)
@@ -292,7 +293,10 @@ func rehydrate(payload []byte, perm []int, a *arch.Arch, problem *graph.Graph, o
 			}
 			g.Tag = graph.NewEdge(inv[gr.TagU], inv[gr.TagV])
 		}
-		c.Gates[i] = g
+		c.Gates = append(c.Gates, g)
+	}
+	if err := gates.Err(); err != nil {
+		return nil, err
 	}
 
 	res := &Result{

@@ -519,3 +519,53 @@ func TestCompileCachedSurvivesCorruptEntry(t *testing.T) {
 		t.Fatal("no corruption was counted")
 	}
 }
+
+// BenchmarkCachedHit is one memory-tier hit on the cold-hybrid evaluation
+// problems the warm-repeat benchmark replays: canonical form, lookup,
+// rehydration into the request's frame, and strict re-verification.
+func BenchmarkCachedHit(b *testing.B) {
+	specs := []struct {
+		a       *arch.Arch
+		n       int
+		density float64
+		noisy   bool
+	}{
+		{arch.GridN(25), 25, 0.35, false},
+		{arch.GridN(36), 36, 0.5, false},
+		{arch.HexagonN(48), 48, 0.3, false},
+		{arch.SycamoreN(49), 49, 0.3, false},
+		{arch.GridN(64), 64, 0.5, false},
+		{arch.HeavyHexN(64), 64, 0.3, true},
+		{arch.GridN(100), 100, 0.1, false},
+		{arch.HeavyHexN(100), 100, 0.05, false},
+	}
+	cache := NewCache(cachestore.NewTiered(nil, 0))
+	type hit struct {
+		a    *arch.Arch
+		p    *graph.Graph
+		opts Options
+	}
+	hits := make([]hit, len(specs))
+	for i, s := range specs {
+		h := hit{a: s.a, p: graph.GnpConnected(s.n, s.density, rand.New(rand.NewSource(int64(i+1)))), opts: Options{Workers: 1}}
+		if s.noisy {
+			h.opts.Noise = noise.Synthetic(s.a, int64(i+1))
+		}
+		if _, err := CompileCached(context.Background(), h.a, h.p, h.opts, cache); err != nil {
+			b.Fatal(err)
+		}
+		hits[i] = h
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := hits[i%len(hits)]
+		res, err := CompileCached(context.Background(), h.a, h.p, h.opts, cache)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.CacheTier != string(cachestore.TierMem) {
+			b.Fatalf("answered from tier %q, want a memory hit", res.Stats.CacheTier)
+		}
+	}
+}

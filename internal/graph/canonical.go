@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -227,29 +229,26 @@ func countClasses(colors []int) int {
 
 // certificate serializes g under perm: vertex count, edge count, then
 // the relabeled edge list sorted — a complete, order-free description of
-// the permuted graph.
+// the permuted graph. Each relabeled edge packs into one uint64 (u<<32|v,
+// u<v), so sorting the packed words orders the pairs lexicographically.
 func certificate(g *Graph, perm []int) []byte {
-	edges := g.Edges()
-	type pair struct{ u, v int }
-	ps := make([]pair, len(edges))
-	for i, e := range edges {
-		u, v := perm[e.U], perm[e.V]
-		if u > v {
-			u, v = v, u
+	ps := make([]uint64, 0, g.M())
+	for u := 0; u < g.N(); u++ {
+		for _, w := range g.above(u) {
+			a, b := perm[u], perm[w]
+			if a > b {
+				a, b = b, a
+			}
+			ps = append(ps, uint64(a)<<32|uint64(b))
 		}
-		ps[i] = pair{u, v}
 	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].u != ps[j].u {
-			return ps[i].u < ps[j].u
-		}
-		return ps[i].v < ps[j].v
-	})
-	out := binary.AppendUvarint(nil, uint64(g.N()))
+	slices.Sort(ps)
+	out := make([]byte, 0, 2*binary.MaxVarintLen32*(len(ps)+1))
+	out = binary.AppendUvarint(out, uint64(g.N()))
 	out = binary.AppendUvarint(out, uint64(len(ps)))
 	for _, p := range ps {
-		out = binary.AppendUvarint(out, uint64(p.u))
-		out = binary.AppendUvarint(out, uint64(p.v))
+		out = binary.AppendUvarint(out, p>>32)
+		out = binary.AppendUvarint(out, p&math.MaxUint32)
 	}
 	return out
 }

@@ -8,6 +8,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -40,21 +42,28 @@ func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 
 // Graph is a simple undirected graph over vertices 0..N-1.
 // The zero value is an empty graph with no vertices; use New.
+//
+// Each vertex keeps its neighbours twice: in insertion order (adj), which
+// is the order Neighbors returns and so the order every traversal —
+// BFS, colouring, greedy routing — visits them in; and ascending
+// (sorted), which answers membership by binary search and yields Edges in
+// canonical order without a sort.
 type Graph struct {
-	n   int
-	adj [][]int
-	set map[Edge]struct{}
+	n      int
+	m      int
+	adj    [][]int
+	sorted [][]int32
 }
 
 // New returns an empty graph on n vertices.
 func New(n int) *Graph {
-	if n < 0 {
-		panic("graph: negative vertex count")
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: vertex count %d out of range", n))
 	}
 	return &Graph{
-		n:   n,
-		adj: make([][]int, n),
-		set: make(map[Edge]struct{}),
+		n:      n,
+		adj:    make([][]int, n),
+		sorted: make([][]int32, n),
 	}
 }
 
@@ -71,7 +80,7 @@ func FromEdges(n int, edges []Edge) *Graph {
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.set) }
+func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops and duplicates are
 // ignored. It panics on out-of-range vertices.
@@ -82,13 +91,16 @@ func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		return
 	}
-	e := NewEdge(u, v)
-	if _, ok := g.set[e]; ok {
+	i, found := slices.BinarySearch(g.sorted[u], int32(v))
+	if found {
 		return
 	}
-	g.set[e] = struct{}{}
+	j, _ := slices.BinarySearch(g.sorted[v], int32(u))
+	g.sorted[u] = slices.Insert(g.sorted[u], i, int32(v))
+	g.sorted[v] = slices.Insert(g.sorted[v], j, int32(u))
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
+	g.m++
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -96,39 +108,85 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
 	}
-	_, ok := g.set[NewEdge(u, v)]
-	return ok
+	if len(g.sorted[v]) < len(g.sorted[u]) {
+		u, v = v, u
+	}
+	_, found := slices.BinarySearch(g.sorted[u], int32(v))
+	return found
 }
 
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// Neighbors returns the adjacency list of v. The returned slice is shared
-// with the graph and must not be modified.
+// Neighbors returns the adjacency list of v in insertion order. The
+// returned slice is shared with the graph and must not be modified.
 func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 
-// Edges returns all edges in canonical order, sorted for determinism.
+// above returns u's neighbours greater than u, ascending: the second
+// endpoints of the canonical edges whose first endpoint is u.
+func (g *Graph) above(u int) []int32 {
+	nb := g.sorted[u]
+	i, _ := slices.BinarySearch(nb, int32(u))
+	return nb[i:]
+}
+
+// Edges returns all edges in canonical order: ascending by U, then by V.
 func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, len(g.set))
-	//vet:ignore maprange collected edges are sorted before returning
-	for e := range g.set {
-		es = append(es, e)
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
+	es := make([]Edge, 0, g.m)
+	for u := 0; u < g.n; u++ {
+		for _, v := range g.above(u) {
+			es = append(es, Edge{U: u, V: int(v)})
 		}
-		return es[i].V < es[j].V
-	})
+	}
 	return es
 }
 
-// Clone returns a deep copy of g.
+// EdgeIndex numbers a graph's edges by their position in Edges(). It is a
+// snapshot: adding edges to the graph afterwards invalidates it.
+type EdgeIndex struct {
+	sorted [][]int32
+	// base[u] plus v's position in sorted[u] is the id of edge (u,v), u<v.
+	base []int32
+	m    int
+}
+
+// EdgeIndex builds the edge numbering of g in O(N log Δ).
+func (g *Graph) EdgeIndex() EdgeIndex {
+	base := make([]int32, g.n)
+	next := 0
+	for u := 0; u < g.n; u++ {
+		up := g.above(u)
+		base[u] = int32(next - (len(g.sorted[u]) - len(up)))
+		next += len(up)
+	}
+	return EdgeIndex{sorted: g.sorted, base: base, m: g.m}
+}
+
+// M returns the number of indexed edges; ids are 0..M-1.
+func (x *EdgeIndex) M() int { return x.m }
+
+// ID returns the id of edge {u, v}, or -1 if it is not an edge (including
+// out-of-range vertices and self-loops).
+func (x *EdgeIndex) ID(u, v int) int {
+	if u > v {
+		u, v = v, u
+	}
+	if u < 0 || v >= len(x.sorted) || u == v {
+		return -1
+	}
+	i, found := slices.BinarySearch(x.sorted[u], int32(v))
+	if !found {
+		return -1
+	}
+	return int(x.base[u]) + i
+}
+
+// Clone returns a deep copy of g with identical neighbour order.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	//vet:ignore maprange set insertion is order-independent
-	for e := range g.set {
-		c.AddEdge(e.U, e.V)
+	c := &Graph{n: g.n, m: g.m, adj: make([][]int, g.n), sorted: make([][]int32, g.n)}
+	for v := 0; v < g.n; v++ {
+		c.adj[v] = slices.Clone(g.adj[v])
+		c.sorted[v] = slices.Clone(g.sorted[v])
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math"
+	"slices"
 
 	"github.com/ata-pattern/ataqc/internal/circuit"
 	"github.com/ata-pattern/ataqc/internal/graph"
@@ -240,25 +241,24 @@ func runCoverage(p *Pass) []Diagnostic {
 		return nil // perm-soundness owns invalid-initial findings
 	}
 	var out []Diagnostic
-	done := make(map[graph.Edge]int)
+	ix := p.edgeIndex()
+	done := make([]int32, ix.M())
 	for i, g := range p.Circuit.Gates {
 		switch g.Kind {
 		case circuit.GateZZ, circuit.GateZZSwap:
 			l0, l1 := p2l[g.Q0], p2l[g.Q1]
 			if l0 < 0 || l1 < 0 {
 				out = append(out, report(Coverage, i, "program gate on unmapped physical qubit (%d,%d)", g.Q0, g.Q1))
+			} else if id := ix.ID(l0, l1); id < 0 {
+				out = append(out, report(Coverage, i, "program gate realizes %v, not an interaction term", graph.NewEdge(l0, l1)))
 			} else {
 				e := graph.NewEdge(l0, l1)
-				if !p.Problem.HasEdge(l0, l1) {
-					out = append(out, report(Coverage, i, "program gate realizes %v, not an interaction term", e))
-				} else {
-					if g.Tagged && g.Tag != e {
-						out = append(out, report(Coverage, i, "tagged %v but the resident logical pair is %v", g.Tag, e))
-					}
-					done[e]++
-					if done[e] == 2 {
-						out = append(out, report(Coverage, i, "interaction term %v realized more than once", e))
-					}
+				if g.Tagged && g.Tag != e {
+					out = append(out, report(Coverage, i, "tagged %v but the resident logical pair is %v", g.Tag, e))
+				}
+				done[id]++
+				if done[id] == 2 {
+					out = append(out, report(Coverage, i, "interaction term %v realized more than once", e))
 				}
 			}
 		}
@@ -266,9 +266,11 @@ func runCoverage(p *Pass) []Diagnostic {
 			p2l[g.Q0], p2l[g.Q1] = p2l[g.Q1], p2l[g.Q0]
 		}
 	}
-	for _, e := range p.Problem.Edges() {
-		if done[e] == 0 {
-			out = append(out, report(Coverage, -1, "interaction term %v never realized", e))
+	if slices.Contains(done, 0) {
+		for id, e := range p.Problem.Edges() {
+			if done[id] == 0 {
+				out = append(out, report(Coverage, -1, "interaction term %v never realized", e))
+			}
 		}
 	}
 	return out

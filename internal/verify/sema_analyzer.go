@@ -2,7 +2,9 @@ package verify
 
 import (
 	"fmt"
+	"math"
 
+	"github.com/ata-pattern/ataqc/internal/circuit"
 	"github.com/ata-pattern/ataqc/internal/verify/sema"
 )
 
@@ -43,9 +45,75 @@ func runSema(p *Pass) []Diagnostic {
 	if p.Problem == nil || p.Initial == nil {
 		return nil
 	}
-	if foldInitial(p) == nil {
+	frame := foldInitial(p)
+	if frame == nil {
 		return nil // perm-soundness owns invalid-initial findings
 	}
+	if semaDense(p, frame) {
+		return nil
+	}
+	return semaGeneral(p)
+}
+
+// semaDense is the proof for the shape every compiled schedule has: only
+// ZZ, ZZSwap and SWAP gates over a pinned program angle. There every
+// frame entry stays a single variable, so every phase term is one logical
+// pair and the whole polynomial fits in per-edge arrays indexed by the
+// problem's edge ids. frame is the physical-to-logical view of
+// Pass.Initial (-1 for unmapped qubits); it is consumed.
+//
+// It returns true only when the proof succeeds — every problem edge
+// realized with total angle within sema.Tol of Pass.Angle, no other term,
+// and the tracked frame equal to Pass.Final — which is exactly when the
+// general engine (Extract, then Compare) reports nothing. On any other
+// input (another gate kind, a term touching an unmapped qubit or a
+// non-edge, a failed check, uniform mode) it returns false and the caller
+// falls back to the general engine, which also words the diagnostics.
+func semaDense(p *Pass, frame []int) bool {
+	if p.Angle == 0 || len(p.Initial) != p.Problem.N() {
+		return false
+	}
+	ix := p.edgeIndex()
+	angle := make([]float64, ix.M())
+	count := make([]int32, ix.M())
+	nq := p.Circuit.NQubits
+	for _, g := range p.Circuit.Gates {
+		if g.Kind != circuit.GateZZ && g.Kind != circuit.GateZZSwap && g.Kind != circuit.GateSwap {
+			return false
+		}
+		if g.Q0 < 0 || g.Q0 >= nq || g.Q1 < 0 || g.Q1 >= nq || g.Q0 == g.Q1 {
+			return false
+		}
+		if g.Kind != circuit.GateSwap {
+			id := ix.ID(frame[g.Q0], frame[g.Q1])
+			if id < 0 {
+				return false
+			}
+			angle[id] += g.Angle
+			count[id]++
+		}
+		if g.Kind != circuit.GateZZ {
+			frame[g.Q0], frame[g.Q1] = frame[g.Q1], frame[g.Q0]
+		}
+	}
+	for id, a := range angle {
+		if count[id] == 0 || math.Abs(a-p.Angle) > sema.Tol {
+			return false
+		}
+	}
+	for l, ph := range p.Final {
+		if ph >= 0 && ph < nq && frame[ph] != l {
+			return false
+		}
+	}
+	return true
+}
+
+// semaGeneral runs the general engine: symbolic extraction over bitset
+// parities, then a term-by-term comparison against the problem
+// polynomial. It handles every gate the executor knows and words every
+// sema diagnostic.
+func semaGeneral(p *Pass) []Diagnostic {
 	var out []Diagnostic
 	ext := sema.Extract(p.Circuit, p.Initial, p.Problem.N())
 	for _, is := range ext.Issues {

@@ -85,7 +85,9 @@ func (d Diagnostic) String() string {
 // Pass is the unit of analysis: one compiled circuit plus the compilation
 // context the analyzers check it against. Circuit is required; every other
 // field widens the set of invariants that can be checked (analyzers skip
-// silently when their inputs are absent).
+// silently when their inputs are absent). Analyzers cache the problem's
+// edge index in the pass, so one Pass must not be run from two goroutines
+// at once.
 type Pass struct {
 	// Circuit is the compiled circuit under analysis.
 	Circuit *circuit.Circuit
@@ -109,6 +111,20 @@ type Pass struct {
 	// to it. Zero means unknown: sema then requires all terms to agree on
 	// one shared non-zero angle instead of a specific value.
 	Angle float64
+
+	// edges numbers Problem's edges for the analyzers that count terms
+	// per edge; built on first use, rebuilt if Problem changes.
+	edges   graph.EdgeIndex
+	indexed *graph.Graph
+}
+
+// edgeIndex returns the edge numbering of p.Problem. Graphs only grow,
+// so an unchanged edge count means the cached index is current.
+func (p *Pass) edgeIndex() *graph.EdgeIndex {
+	if p.indexed != p.Problem || p.edges.M() != p.Problem.M() {
+		p.edges, p.indexed = p.Problem.EdgeIndex(), p.Problem
+	}
+	return &p.edges
 }
 
 // Analyzer is one named static check, go/analysis style.
