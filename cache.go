@@ -66,6 +66,10 @@ type CacheStats struct {
 	// PutFailures counts results the disk tier could not persist (the
 	// memory tier still accepted them).
 	PutFailures int64
+	// CanonGiveups counts requests whose canonical form ran out of time or
+	// work and fell back to a labeling-dependent key (sound, but an
+	// isomorphic resubmission may miss).
+	CanonGiveups int64
 	// Evictions counts disk entries displaced by the byte budget.
 	Evictions int64
 	// MemEntries / DiskEntries / DiskBytes size the two tiers.
@@ -86,6 +90,7 @@ func (c *Cache) Stats() CacheStats {
 		Misses:        s.Result.Misses,
 		Corrupt:       s.Corrupt + s.Result.Disk.Corrupt,
 		PutFailures:   s.PutFailures,
+		CanonGiveups:  s.CanonGiveups,
 		Evictions:     s.Result.Disk.Evictions,
 		MemEntries:    s.Result.MemEntries,
 		DiskEntries:   s.Result.Disk.Entries,

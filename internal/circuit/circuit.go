@@ -304,6 +304,49 @@ func (c *Circuit) DecomposedDepth() int {
 	return depth
 }
 
+// Summary is a circuit's metrics gathered in one pass by Summarize.
+type Summary struct {
+	// Depth equals DecomposedDepth; TwoQubitDepth and CXCount equal the
+	// methods of the same names.
+	Depth, TwoQubitDepth, CXCount int
+	// Counts[k] is the number of gates of kind k (GateCount as an array;
+	// gates of unknown kinds are not counted).
+	Counts [GateZZSwap + 1]int
+}
+
+// Summarize computes DecomposedDepth, TwoQubitDepth, CXCount and the gate
+// counts in one pass over the gates, expanding each into a stack buffer
+// (see Expand) instead of streaming through a callback. A gate that Append
+// would reject panics with the message DecomposedDepth gives it.
+func (c *Circuit) Summarize() Summary {
+	var s Summary
+	var buf [4]Gate
+	avail := make([]int, 2*c.NQubits)
+	avail, avail2 := avail[:c.NQubits], avail[c.NQubits:]
+	for _, g := range c.Gates {
+		if g.Kind >= 0 && g.Kind <= GateZZSwap {
+			s.Counts[g.Kind]++
+		}
+		for _, e := range g.Expand(&buf) {
+			c.check(e)
+			t := avail[e.Q0]
+			if e.Kind.TwoQubit() {
+				t = max(t, avail[e.Q1])
+				avail[e.Q1] = t + 1
+			}
+			avail[e.Q0] = t + 1
+			s.Depth = max(s.Depth, t+1)
+		}
+		if g.Kind.TwoQubit() {
+			t := max(avail2[g.Q0], avail2[g.Q1]) + 1
+			avail2[g.Q0], avail2[g.Q1] = t, t
+			s.TwoQubitDepth = max(s.TwoQubitDepth, t)
+			s.CXCount += g.Kind.CXCost()
+		}
+	}
+	return s
+}
+
 // Compact relabels the circuit onto the dense qubit set it actually
 // touches, returning the remapped circuit and the old-to-new index map.
 // Untouched qubits carry no amplitude information, so simulating the

@@ -112,10 +112,14 @@ func TestAppendValidation(t *testing.T) {
 		{Gate{Kind: GateSwap, Q0: 0, Q1: 5}, "circuit: invalid 2q gate cx on (0,5)"},
 		{Gate{Kind: GateZZ, Q0: 2, Q1: 0}, "circuit: qubit 2 out of range"},
 		{Gate{Kind: GateH, Q0: -1, Q1: -1}, "circuit: qubit -1 out of range"},
+		{Gate{Kind: GateCNOT, Q0: 1, Q1: 1}, "circuit: invalid 2q gate cx on (1,1)"},
+		{Gate{Kind: GateZZSwap, Q0: 0, Q1: 3}, "circuit: invalid 2q gate cx on (0,3)"},
+		{Gate{Kind: GateRZ, Q0: 2, Q1: -1}, "circuit: qubit 2 out of range"},
 	} {
 		bad := &Circuit{NQubits: 2, Gates: []Gate{NewSwap(0, 1), tc.bad}}
 		mustPanicWith(t, "Decompose", tc.want, func() { bad.Decompose() })
 		mustPanicWith(t, "DecomposedDepth", tc.want, func() { bad.DecomposedDepth() })
+		mustPanicWith(t, "Summarize", tc.want, func() { bad.Summarize() })
 		var out bytes.Buffer
 		mustPanicWith(t, "WriteQASM", tc.want, func() { bad.WriteQASM(&out) })
 		if out.Len() != 0 {

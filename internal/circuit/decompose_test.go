@@ -85,6 +85,27 @@ func TestDecomposedDepthMatchesMaterialised(t *testing.T) {
 	}
 }
 
+// TestSummarizeMatchesSeparatePasses: the one-pass Summarize equals the
+// streamed DecomposedDepth and the separate TwoQubitDepth, CXCount and
+// GateCount passes on random circuits of every gate kind.
+func TestSummarizeMatchesSeparatePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		c := randomCircuit(rng, 2+rng.Intn(10), rng.Intn(120))
+		s := c.Summarize()
+		if s.Depth != c.DecomposedDepth() || s.TwoQubitDepth != c.TwoQubitDepth() || s.CXCount != c.CXCount() {
+			t.Fatalf("circuit %d: Summarize %+v, separate passes depth %d, 2q depth %d, CX %d",
+				i, s, c.DecomposedDepth(), c.TwoQubitDepth(), c.CXCount())
+		}
+		counts := c.GateCount()
+		for k := GateH; k <= GateZZSwap; k++ {
+			if s.Counts[k] != counts[k] {
+				t.Fatalf("circuit %d: Summarize counts %d %v gates, GateCount %d", i, s.Counts[k], k, counts[k])
+			}
+		}
+	}
+}
+
 // TestDecomposedStopsEarly: yield returning false ends the stream.
 func TestDecomposedStopsEarly(t *testing.T) {
 	c := New(2)

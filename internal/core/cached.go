@@ -48,6 +48,7 @@ type Cache struct {
 	patterns *swapnet.PatternCache
 	corrupt  atomic.Int64
 	putFails atomic.Int64
+	giveups  atomic.Int64
 }
 
 // NewCache wraps a tiered result store (nil = no result caching, the
@@ -76,6 +77,11 @@ type CacheStats struct {
 	// PutFailures counts results that could not be persisted to disk
 	// (the memory tier still accepted them).
 	PutFailures int64
+	// CanonGiveups counts requests whose canonical form gave up on the
+	// context or the work budget and keyed the lookup by a
+	// labeling-dependent fallback certificate (sound, but isomorphic
+	// resubmissions may miss).
+	CanonGiveups int64
 	// Patterns is the shared pattern cache's counters.
 	Patterns swapnet.CacheStats
 }
@@ -83,9 +89,10 @@ type CacheStats struct {
 // Stats snapshots the cache.
 func (c *Cache) Stats() CacheStats {
 	s := CacheStats{
-		Corrupt:     c.corrupt.Load(),
-		PutFailures: c.putFails.Load(),
-		Patterns:    c.patterns.Stats(),
+		Corrupt:      c.corrupt.Load(),
+		PutFailures:  c.putFails.Load(),
+		CanonGiveups: c.giveups.Load(),
+		Patterns:     c.patterns.Stats(),
 	}
 	if c.store != nil {
 		s.Result = c.store.Stats()
@@ -121,7 +128,10 @@ func CompileCached(ctx context.Context, a *arch.Arch, problem *graph.Graph, opts
 
 	rec := newRecorder(opts.Trace)
 	start := rec.clock.Now()
-	perm, hash := graph.CanonicalForm(problem)
+	perm, hash, complete := graph.CanonicalFormContext(ctx, problem)
+	if !complete {
+		cache.giveups.Add(1)
+	}
 	key := cachestore.ResultKey(a.Fingerprint(), hash, optionsDigest(a, &opts))
 
 	if payload, tier, ok := cache.store.Get(key); ok {

@@ -520,6 +520,62 @@ func TestCompileCachedSurvivesCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestCompileCachedRelabeledCliqueHit: the complete graph is the paper's
+// headline all-to-all input and the most symmetric one. A relabeled K64
+// resubmission must be a memory hit served in milliseconds — canonical
+// form, rehydration and strict re-verification included.
+func TestCompileCachedRelabeledCliqueHit(t *testing.T) {
+	cache := NewCache(cachestore.NewTiered(nil, 0))
+	a := arch.GridN(64)
+	p := graph.Complete(64)
+	ctx := context.Background()
+	if _, err := CompileCached(ctx, a, p, Options{Workers: 1}, cache); err != nil {
+		t.Fatal(err)
+	}
+	q := graph.Relabel(p, rand.New(rand.NewSource(3)).Perm(64))
+	best := time.Duration(1<<63 - 1)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		res, err := CompileCached(ctx, a, q, Options{Workers: 1}, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, time.Since(start))
+		if res.Stats.CacheTier != string(cachestore.TierMem) {
+			t.Fatalf("relabeled K64 answered from tier %q, want a memory hit", res.Stats.CacheTier)
+		}
+	}
+	if s := cache.Stats(); s.Corrupt != 0 || s.CanonGiveups != 0 {
+		t.Fatalf("relabeled K64 hit: %+v", s)
+	}
+	if !testing.Short() && !raceEnabled && best > 10*time.Millisecond {
+		t.Fatalf("relabeled K64 hit took %v, want under 10ms", best)
+	}
+}
+
+// TestCompileCachedCountsCanonGiveups: a request whose context has already
+// ended cannot canonicalize; the give-up is counted and keyed by the sound
+// fallback certificate, so it can miss but never share a wrong entry.
+func TestCompileCachedCountsCanonGiveups(t *testing.T) {
+	cache := NewCache(cachestore.NewTiered(nil, 0))
+	a := arch.Grid(4, 4)
+	p := graph.Complete(12)
+	if _, err := CompileCached(context.Background(), a, p, Options{Workers: 1}, cache); err != nil {
+		t.Fatal(err)
+	}
+	if s := cache.Stats(); s.CanonGiveups != 0 {
+		t.Fatalf("background compile counted %d give-ups", s.CanonGiveups)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The compile itself fails on the cancelled context; only the count
+	// matters here.
+	_, _ = CompileCached(ctx, a, p, Options{Workers: 1}, cache)
+	if s := cache.Stats(); s.CanonGiveups != 1 || s.Corrupt != 0 {
+		t.Fatalf("cancelled compile: stats %+v, want one give-up and no corruption", s)
+	}
+}
+
 // BenchmarkCachedHit is one memory-tier hit on the cold-hybrid evaluation
 // problems the warm-repeat benchmark replays: canonical form, lookup,
 // rehydration into the request's frame, and strict re-verification.

@@ -379,16 +379,16 @@ func refinePasses(n int) int { return min(max(2048/(n+1), 1), 6) }
 
 // Measure computes the evaluation metrics of a compiled circuit.
 func Measure(c *circuit.Circuit, nm *noise.Model) Metrics {
-	counts := c.GateCount()
+	s := c.Summarize()
 	m := Metrics{
-		Depth:         c.DecomposedDepth(),
-		TwoQubitDepth: c.TwoQubitDepth(),
-		CXCount:       c.CXCount(),
-		ProgramGates:  counts[circuit.GateZZ] + counts[circuit.GateZZSwap],
-		Swaps:         counts[circuit.GateSwap] + counts[circuit.GateZZSwap],
+		Depth:         s.Depth,
+		TwoQubitDepth: s.TwoQubitDepth,
+		CXCount:       s.CXCount,
+		ProgramGates:  s.Counts[circuit.GateZZ] + s.Counts[circuit.GateZZSwap],
+		Swaps:         s.Counts[circuit.GateSwap] + s.Counts[circuit.GateZZSwap],
 	}
 	if nm != nil {
-		m.LogFidelity = nm.LogFidelity(c)
+		m.LogFidelity = nm.LogFidelityAt(c, s.Depth)
 	}
 	return m
 }

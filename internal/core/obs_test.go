@@ -181,22 +181,34 @@ func TestTracingOverheadGuard(t *testing.T) {
 }
 
 // semaPass rebuilds the verification pass Compile ran for a result, so the
-// sema analyzer can be re-timed in isolation.
-func semaPass(a *arch.Arch, p *graph.Graph, res *Result) *verify.Pass {
+// sema analyzer can be re-timed in isolation. With angle set it is the
+// production pass, which the dense edge-indexed proof answers; with angle
+// 0 it is the uniform-mode pass, which the general engine answers.
+func semaPass(a *arch.Arch, p *graph.Graph, res *Result, angle float64) *verify.Pass {
 	return &verify.Pass{
 		Circuit: res.Circuit,
 		Arch:    a,
 		Problem: p,
 		Initial: res.Initial,
 		Final:   res.Final,
+		Angle:   angle,
 	}
 }
 
+// semaModes are the two sema passes the guards time: the production pass
+// (the compile's default angle) and the uniform-mode pass.
+var semaModes = []struct {
+	name  string
+	angle float64
+}{{"dense", 1}, {"uniform", 0}}
+
 // TestSemaOverheadGuard enforces the <2% semantic-verification budget: the
-// phase-polynomial extraction is a single O(gates) sweep over the compiled
+// phase-polynomial proof is a single O(gates) sweep over the compiled
 // stream, so proving the output equivalent to the problem Hamiltonian must
-// cost under 2% of the compile that produced it. Best-of-N on both sides
-// damps scheduler noise; the epsilon absorbs timer granularity.
+// cost under 2% of the compile that produced it — both as production runs
+// it (the dense proof under the compile's angle) and in uniform mode (the
+// general engine). Best-of-N on both sides damps scheduler noise; the
+// epsilon absorbs timer granularity.
 func TestSemaOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard")
@@ -209,7 +221,7 @@ func TestSemaOverheadGuard(t *testing.T) {
 	}
 	const rounds = 5
 	maxDur := time.Duration(1<<62 - 1)
-	compile, sema := maxDur, maxDur
+	compile := maxDur
 	for i := 0; i < rounds; i++ {
 		start := time.Now()
 		if _, err := Compile(a, p, Options{Workers: 1}); err != nil {
@@ -219,26 +231,30 @@ func TestSemaOverheadGuard(t *testing.T) {
 			compile = d
 		}
 	}
-	pass := semaPass(a, p, res)
-	for i := 0; i < rounds*4; i++ {
-		start := time.Now()
-		if diags := verify.Run(pass, verify.Sema); len(diags) != 0 {
-			t.Fatalf("sema flagged the compiled circuit: %v", diags)
-		}
-		if d := time.Since(start); d < sema {
-			sema = d
-		}
-	}
 	const epsilon = 2 * time.Millisecond
 	limit := compile/50 + epsilon // 2% of compile + epsilon
-	if sema > limit {
-		t.Fatalf("sema verification %v exceeds 2%% of compile %v (+%v)", sema, compile, epsilon)
+	for _, mode := range semaModes {
+		pass := semaPass(a, p, res, mode.angle)
+		sema := maxDur
+		for i := 0; i < rounds*4; i++ {
+			start := time.Now()
+			if diags := verify.Run(pass, verify.Sema); len(diags) != 0 {
+				t.Fatalf("%s sema flagged the compiled circuit: %v", mode.name, diags)
+			}
+			if d := time.Since(start); d < sema {
+				sema = d
+			}
+		}
+		if sema > limit {
+			t.Fatalf("%s sema verification %v exceeds 2%% of compile %v (+%v)", mode.name, sema, compile, epsilon)
+		}
 	}
 }
 
 // BenchmarkSemaVerify is the standalone cost of the semantic-equivalence
-// proof on a realistic compiled circuit; compare against BenchmarkCompileNoTrace
-// for the relative overhead.
+// proof on a realistic compiled circuit, as production runs it (dense) and
+// in uniform mode; compare against BenchmarkCompileNoTrace for the
+// relative overhead.
 func BenchmarkSemaVerify(b *testing.B) {
 	a := arch.GridN(36)
 	rng := rand.New(rand.NewSource(7))
@@ -247,12 +263,15 @@ func BenchmarkSemaVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pass := semaPass(a, p, res)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if diags := verify.Run(pass, verify.Sema); len(diags) != 0 {
-			b.Fatal(diags)
-		}
+	for _, mode := range semaModes {
+		b.Run(mode.name, func(b *testing.B) {
+			pass := semaPass(a, p, res, mode.angle)
+			for i := 0; i < b.N; i++ {
+				if diags := verify.Run(pass, verify.Sema); len(diags) != 0 {
+					b.Fatal(diags)
+				}
+			}
+		})
 	}
 }
 

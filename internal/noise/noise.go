@@ -123,17 +123,26 @@ func CrosstalkPairs(a *arch.Arch) [][2]graph.Edge {
 // of log(1-e) over all decomposed gates plus a decoherence term for the
 // circuit duration. Larger (closer to zero) is better.
 func (m *Model) LogFidelity(c *circuit.Circuit) float64 {
+	return m.LogFidelityAt(c, c.DecomposedDepth())
+}
+
+// LogFidelityAt is LogFidelity for a circuit whose decomposed depth is
+// already known and whose gates are valid (as DecomposedDepth checks). It
+// adds the same terms in the same order, expanding each gate into a stack
+// buffer (see circuit.Gate.Expand) instead of streaming through a callback.
+func (m *Model) LogFidelityAt(c *circuit.Circuit, depth int) float64 {
 	lf := 0.0
-	c.Decomposed(func(g circuit.Gate) bool {
-		switch g.Kind {
-		case circuit.GateCNOT:
-			lf += math.Log1p(-m.EdgeError(g.Q0, g.Q1))
-		default:
-			lf += math.Log1p(-m.SingleQubit[g.Q0])
+	var buf [4]circuit.Gate
+	for _, g := range c.Gates {
+		for _, e := range g.Expand(&buf) {
+			if e.Kind == circuit.GateCNOT {
+				lf += math.Log1p(-m.EdgeError(e.Q0, e.Q1))
+			} else {
+				lf += math.Log1p(-m.SingleQubit[e.Q0])
+			}
 		}
-		return true
-	})
-	lf += -m.IdlePerCycle * float64(c.DecomposedDepth()) * float64(activeQubits(c))
+	}
+	lf += -m.IdlePerCycle * float64(depth) * float64(activeQubits(c))
 	return lf
 }
 
@@ -143,12 +152,19 @@ func (m *Model) Fidelity(c *circuit.Circuit) float64 {
 }
 
 func activeQubits(c *circuit.Circuit) int {
-	seen := make(map[int]bool)
-	for _, g := range c.Gates {
-		seen[g.Q0] = true
-		if g.Kind.TwoQubit() {
-			seen[g.Q1] = true
+	seen := make([]bool, c.NQubits)
+	n := 0
+	mark := func(q int) {
+		if !seen[q] {
+			seen[q] = true
+			n++
 		}
 	}
-	return len(seen)
+	for _, g := range c.Gates {
+		mark(g.Q0)
+		if g.Kind.TwoQubit() {
+			mark(g.Q1)
+		}
+	}
+	return n
 }

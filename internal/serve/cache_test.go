@@ -55,6 +55,9 @@ func TestCompileCacheTier(t *testing.T) {
 	if snap.Gauges["cache.corrupt"].Value != 0 {
 		t.Fatalf("cache.corrupt = %d, want 0", snap.Gauges["cache.corrupt"].Value)
 	}
+	if g, ok := snap.Gauges["cache.canon_giveups"]; !ok || g.Value != 0 {
+		t.Fatalf("cache.canon_giveups = %+v (present %v), want 0", g, ok)
+	}
 }
 
 // TestCompileNoCacheNoSeries: without a configured cache the response has

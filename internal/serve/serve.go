@@ -79,9 +79,9 @@ type Config struct {
 	// Cache, when non-nil, is attached to every compile under the
 	// hybrid/greedy/ata strategies (Options.Cache) and surfaced in the
 	// metrics registry: cache.hits{tier=mem|disk} and cache.misses
-	// counters, plus size/corruption gauges, appear in /statz and
-	// /metricsz after the first cached compile. Responses carry the tier
-	// that answered in cacheTier.
+	// counters, plus size, corruption and canonical-form give-up gauges,
+	// appear in /statz and /metricsz after the first cached compile.
+	// Responses carry the tier that answered in cacheTier.
 	Cache *ataqc.Cache
 	// Compile overrides the compile entry point (default
 	// ataqc.CompileContext).
@@ -491,6 +491,7 @@ func (s *Server) recordCacheOutcome(opts ataqc.Options, res *ataqc.Result) {
 	s.met.Gauge("cache.disk.entries").Set(int64(st.DiskEntries))
 	s.met.Gauge("cache.disk.bytes").Set(st.DiskBytes)
 	s.met.Gauge("cache.corrupt").Set(st.Corrupt)
+	s.met.Gauge("cache.canon_giveups").Set(st.CanonGiveups)
 	s.met.Gauge("cache.evictions").Set(st.Evictions)
 	s.met.Gauge("cache.put_failures").Set(st.PutFailures)
 }
