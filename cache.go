@@ -31,8 +31,9 @@ type Cache struct {
 // OpenCache opens (creating if needed) a persistent compilation cache
 // rooted at dir, fronted by an in-memory LRU. maxBytes bounds the total
 // bytes on disk (0 = unbounded); exceeding it evicts least-recently-used
-// entries. A store left by a crash is recovered by rescan; damaged
-// entries are silently dropped on first access.
+// entries. Opening lists the entry files, so a store left by a crash
+// needs no recovery step; damaged entries are silently dropped on first
+// access.
 func OpenCache(dir string, maxBytes int64) (*Cache, error) {
 	store, err := cachestore.Open(dir, maxBytes)
 	if err != nil {

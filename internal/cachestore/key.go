@@ -6,8 +6,8 @@
 // entries across process restarts.
 //
 // The durability contract is deliberately one-sided: writes are atomic
-// (write-temp-then-rename with the data fsync'd first) and the index is
-// an fsync'd append-only journal, but any corruption discovered on read —
+// (write-temp-then-rename with the data fsync'd first) and the entry
+// files are their own index, but any corruption discovered on read —
 // a bad magic, a version skew, a checksum mismatch, a truncated file —
 // is a silent miss that bumps a counter and deletes the carcass. The
 // cache can lose entries; it can never serve a damaged one, and it never

@@ -1,21 +1,20 @@
 package cachestore
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/ata-pattern/ataqc/internal/lru"
 )
 
 // Store is the on-disk tier: one file per entry under 256 hash-prefix
-// shard directories, plus an append-only journal (index.log) that lets
-// Open rebuild the entry table without statting every file. All methods
+// shard directories. The entry files are the only record of what the
+// store holds; Open builds the entry table by listing them. All methods
 // are safe for concurrent use.
 //
 // Get never returns an error: absent, unreadable, or corrupt entries are
@@ -27,9 +26,8 @@ type Store struct {
 	maxBytes int64
 
 	// mu guards the table together with every change this process makes
-	// to the entry files and the journal, so they change in step.
-	mu    sync.Mutex
-	index *os.File
+	// to the entry files, so they change in step.
+	mu sync.Mutex
 	// table maps each entry to the generation of the write that produced
 	// its file, weighted by the file's size in bytes. The generation lets
 	// a reader that lost a race with eviction or replacement tell its
@@ -47,102 +45,48 @@ type StoreStats struct {
 	Bytes                                  int64
 }
 
-const indexName = "index.log"
-
 // Open readies dir as a store, creating it if needed. maxBytes bounds
 // the total entry bytes on disk (0 = unbounded); exceeding it evicts
-// approximately-least-recently-used entries. An unreadable or partially
-// written journal falls back to a full directory rescan — crash debris
-// costs a slower open, never an error.
+// approximately-least-recently-used entries. The entry table is built
+// from the entry files alone, so whatever a crash left behind costs at
+// most a miss: a temp file of an unfinished Put is skipped, an entry
+// file renamed into place is indexed, and a damaged one is dropped by
+// Get.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: %w", err)
 	}
 	s := &Store{dir: dir, maxBytes: maxBytes}
-	if !s.replayIndex() {
-		if err := s.rescan(); err != nil {
-			return nil, err
-		}
+	if err := s.scan(); err != nil {
+		return nil, err
 	}
-	idx, err := os.OpenFile(filepath.Join(dir, indexName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cachestore: %w", err)
-	}
-	s.index = idx
-	s.mu.Lock()
 	s.evictLocked(Key{})
-	s.mu.Unlock()
 	return s, nil
 }
 
-// Close releases the journal handle. The store must not be used after.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.index == nil {
-		return nil
-	}
-	err := s.index.Close()
-	s.index = nil
-	return err
-}
+// Close releases nothing, since the store holds no file open between
+// calls; it lets callers close every tier alike.
+func (s *Store) Close() error { return nil }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// replayIndex rebuilds the entry table from the journal. It returns
-// false when the journal is absent or unusable; a torn final line (a
-// crash mid-append) is tolerated by ignoring unparsable lines.
-func (s *Store) replayIndex() bool {
-	f, err := os.Open(filepath.Join(s.dir, indexName))
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 4096), 1<<20)
-	any := false
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 2 {
-			continue
-		}
-		k, ok := parseFilename(fields[1])
-		if !ok {
-			continue
-		}
-		switch fields[0] {
-		case "P":
-			if len(fields) != 3 {
-				continue
-			}
-			size, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil || size < 0 {
-				continue
-			}
-			s.insertMeta(k, size)
-			any = true
-		case "D":
-			s.table.Remove(k)
-			any = true
-		}
-	}
-	if sc.Err() != nil {
-		return false
-	}
-	// An empty journal over a non-empty store means the journal was
-	// clobbered; make the caller rescan.
-	if !any && s.hasEntryFiles() {
-		return false
-	}
-	return true
-}
-
-func (s *Store) hasEntryFiles() bool {
+// scan fills the entry table from the entry files in the shard
+// directories, skipping everything else. Entries go in oldest first by
+// modification time, then by name, so eviction after a restart follows
+// the order the entries were put in.
+func (s *Store) scan() error {
 	dirs, err := os.ReadDir(s.dir)
 	if err != nil {
-		return false
+		return fmt.Errorf("cachestore: %w", err)
 	}
+	type entry struct {
+		k    Key
+		name string
+		mod  time.Time
+		size int64
+	}
+	var entries []entry
 	for _, d := range dirs {
 		if !d.IsDir() {
 			continue
@@ -152,69 +96,25 @@ func (s *Store) hasEntryFiles() bool {
 			continue
 		}
 		for _, f := range files {
-			if strings.HasSuffix(f.Name(), ".e") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// rescan walks the shard directories and rebuilds both the entry table
-// and a fresh journal (written atomically so a crash mid-rescan leaves
-// the old one).
-func (s *Store) rescan() error {
-	s.table = lru.List[Key, uint64]{}
-	dirs, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	var lines []string
-	for _, d := range dirs {
-		if !d.IsDir() || len(d.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, d.Name()))
-		if err != nil {
-			continue
-		}
-		sort.Slice(files, func(i, j int) bool { return files[i].Name() < files[j].Name() })
-		for _, f := range files {
 			k, ok := parseFilename(f.Name())
-			if !ok {
+			if !ok || k.shardDir() != d.Name() {
 				continue
 			}
 			info, err := f.Info()
-			if err != nil {
+			if err != nil || !info.Mode().IsRegular() {
 				continue
 			}
-			s.insertMeta(k, info.Size())
-			lines = append(lines, fmt.Sprintf("P %s %d\n", f.Name(), info.Size()))
+			entries = append(entries, entry{k, f.Name(), info.ModTime(), info.Size()})
 		}
 	}
-	tmp, err := os.CreateTemp(s.dir, "index-*")
-	if err != nil {
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	for _, l := range lines {
-		if _, err := tmp.WriteString(l); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("cachestore: %w", err)
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := a.mod.Compare(b.mod); c != 0 {
+			return c
 		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, indexName)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cachestore: %w", err)
+		return strings.Compare(a.name, b.name)
+	})
+	for _, e := range entries {
+		s.insertMeta(e.k, e.size)
 	}
 	return nil
 }
@@ -231,9 +131,9 @@ func (s *Store) path(k Key) string {
 }
 
 // Put stores payload under k, replacing any existing entry. The data
-// file is fsync'd before the rename and the journal line is fsync'd
-// after it, so a crash leaves either the old entry, the new entry, or a
-// journal/file skew the next Open's Get-time validation absorbs.
+// file is written to a temp file and fsync'd before it is renamed into
+// place, so a crash leaves either the old entry or the new one, plus at
+// most a temp file that Open skips.
 func (s *Store) Put(k Key, payload []byte) error {
 	if len(payload) > maxPayloadLen {
 		return fmt.Errorf("cachestore: payload %d bytes exceeds the %d cap", len(payload), maxPayloadLen)
@@ -270,7 +170,6 @@ func (s *Store) Put(k Key, payload []byte) error {
 	}
 	s.puts++
 	s.insertMeta(k, int64(len(blob)))
-	s.journalLocked(fmt.Sprintf("P %s %d\n", k.filename(), len(blob)))
 	s.evictLocked(k)
 	return nil
 }
@@ -304,7 +203,7 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 
 // dropCorrupt handles a failed read of generation gen of k. If the table
 // still holds that generation, the file is missing or damaged: it is
-// counted corrupt and removed from the table, the journal and the disk.
+// counted corrupt and removed from the table and the disk.
 // Otherwise a concurrent Put evicted or replaced the entry while it was
 // being read, and the failure is a plain miss that touches nothing.
 func (s *Store) dropCorrupt(k Key, gen uint64) {
@@ -334,23 +233,10 @@ func (s *Store) evictLocked(keep Key) {
 	}
 }
 
-// removeLocked deletes k from the table, the journal and the disk.
+// removeLocked deletes k from the table and the disk.
 func (s *Store) removeLocked(k Key) {
 	s.table.Remove(k)
-	s.journalLocked(fmt.Sprintf("D %s\n", k.filename()))
 	os.Remove(s.path(k))
-}
-
-// journalLocked appends one line to the index and fsyncs it. Journal
-// write failures are swallowed: the journal is an optimization — a stale
-// one costs a rescan or a Get-time validation miss, not correctness.
-func (s *Store) journalLocked(line string) {
-	if s.index == nil {
-		return
-	}
-	if _, err := s.index.WriteString(line); err == nil {
-		_ = s.index.Sync()
-	}
 }
 
 // Stats snapshots the disk-tier counters.

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testKey(i byte) Key {
@@ -56,7 +57,6 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Journal replay path.
 	s2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -68,21 +68,6 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 		}
 	}
 	s2.Close()
-
-	// Rescan path: delete the journal, entries must still be found.
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	for i := byte(0); i < 10; i++ {
-		if _, ok := s3.Get(testKey(i)); !ok {
-			t.Fatalf("after rescan: entry %d missing", i)
-		}
-	}
 }
 
 func TestStoreCorruptionIsSilentMiss(t *testing.T) {
@@ -274,33 +259,6 @@ func TestStoreConcurrentEvictionIsNotCorruption(t *testing.T) {
 	}
 }
 
-func TestStoreTornJournalRecovers(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(testKey(1), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// Simulate a crash mid-append: garbage tail line.
-	f, err := os.OpenFile(filepath.Join(dir, indexName), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("P deadbeef") // torn, unparsable
-	f.Close()
-	s2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, ok := s2.Get(testKey(1)); !ok {
-		t.Fatal("entry lost after torn journal line")
-	}
-}
-
 func TestTieredPromotion(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := Open(dir, 0)
@@ -353,5 +311,250 @@ func TestTieredMemoryOnly(t *testing.T) {
 	}
 	if st := tc.Stats(); st.MemEntries != 2 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// The tests below leave the directory as a Put interrupted at each step
+// would, then reopen it.
+
+// writeEntryFile puts the file of an entry in place the way Put's rename
+// does, without going through a Store.
+func writeEntryFile(t *testing.T, dir string, k Key, payload []byte) string {
+	t.Helper()
+	shard := filepath.Join(dir, k.shardDir())
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(shard, k.filename())
+	if err := os.WriteFile(path, EncodeEntry(k, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestStoreSkipsPutTempFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := testKey(1)
+	if err := s.Put(kept, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	// A Put that stopped before its rename leaves a complete temp file.
+	lost := testKey(2)
+	tmp := filepath.Join(dir, lost.shardDir(), "put-123456")
+	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, EncodeEntry(lost, []byte("lost")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, ok := s2.Get(lost); ok {
+		t.Fatal("the temp file of an unfinished Put was served")
+	}
+	if _, ok := s2.Get(kept); !ok {
+		t.Fatal("finished entry lost")
+	}
+	st := s2.Stats()
+	if want := int64(len(EncodeEntry(kept, []byte("kept")))); st.Entries != 1 || st.Bytes != want {
+		t.Fatalf("stats = %+v, want 1 entry of %d bytes", st, want)
+	}
+	if st.Corrupt != 0 {
+		t.Fatalf("corrupt = %d, want 0", st.Corrupt)
+	}
+}
+
+func TestStoreIndexesEntryOfUnfinishedPut(t *testing.T) {
+	payload := make([]byte, 100)
+	entrySize := int64(len(EncodeEntry(testKey(0), payload)))
+	dir := t.TempDir()
+	s, err := Open(dir, 3*entrySize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(0); i < 2; i++ {
+		if err := s.Put(testKey(i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	// A Put that stopped after its rename: the file is intact and in
+	// place, but the store that wrote it never recorded it.
+	k := testKey(9)
+	path := writeEntryFile(t, dir, k, payload)
+
+	s2, err := Open(dir, 3*entrySize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, ok := s2.Get(k); !ok {
+		t.Fatal("intact entry file was not served after reopen")
+	}
+	if st := s2.Stats(); st.Entries != 3 || st.Bytes != 3*entrySize {
+		t.Fatalf("stats = %+v, want 3 entries of %d bytes", st, entrySize)
+	}
+	for i := byte(3); i < 6; i++ {
+		if err := s2.Put(testKey(i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("entry file of the unfinished Put was never evicted")
+	}
+	if st := s2.Stats(); st.Evictions != 3 || st.Bytes != 3*entrySize {
+		t.Fatalf("stats = %+v, want 3 evictions and %d bytes", st, 3*entrySize)
+	}
+}
+
+func TestStoreDamagedFileAtReopenIsDroppedOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated, flipped := testKey(4), testKey(5)
+	for _, k := range []Key{truncated, flipped} {
+		if err := s.Put(k, []byte("entry that will be damaged")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	damage := func(k Key, f func([]byte) []byte) string {
+		path := filepath.Join(dir, k.shardDir(), k.filename())
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	paths := []string{
+		damage(truncated, func(b []byte) []byte { return b[:len(b)-3] }),
+		damage(flipped, func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }),
+	}
+
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for round := 0; round < 2; round++ {
+		for _, k := range []Key{truncated, flipped} {
+			if _, ok := s2.Get(k); ok {
+				t.Fatalf("round %d: damaged entry served", round)
+			}
+		}
+		if st := s2.Stats(); st.Corrupt != 2 || st.Entries != 0 || st.Bytes != 0 {
+			t.Fatalf("round %d: stats = %+v, want 2 corrupt and nothing left", round, st)
+		}
+	}
+	for _, p := range paths {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("damaged file %s was not deleted", p)
+		}
+	}
+}
+
+func TestStoreReopenEvictsInPutOrder(t *testing.T) {
+	payload := make([]byte, 100)
+	entrySize := int64(len(EncodeEntry(testKey(0), payload)))
+	dir := t.TempDir()
+	// Put in descending key order, so name order is the reverse of put
+	// order, and space the modification times so that no two are equal.
+	base := time.Now().Add(-time.Hour)
+	for i := 0; i < 6; i++ {
+		path := writeEntryFile(t, dir, testKey(byte(5-i)), payload)
+		mod := base.Add(time.Duration(i) * time.Second)
+		if err := os.Chtimes(path, mod, mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, 3*entrySize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := byte(0); i < 6; i++ {
+		_, ok := s.Get(testKey(i))
+		if want := i < 3; ok != want {
+			t.Fatalf("key %d: present = %v, want %v (the three last put)", i, ok, want)
+		}
+	}
+}
+
+func TestStoreChurnAcrossReopensLeavesOnlyEntries(t *testing.T) {
+	payload := make([]byte, 100)
+	entrySize := int64(len(EncodeEntry(testKey(0), payload)))
+	budget := 5 * entrySize
+	dir := t.TempDir()
+	for reopen := 0; reopen < 4; reopen++ {
+		s, err := Open(dir, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 60; i++ {
+			k := testKey(byte(reopen*37 + i))
+			if _, ok := s.Get(k); !ok {
+				if err := s.Put(k, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if st := s.Stats(); st.Bytes > budget+entrySize {
+			t.Fatalf("reopen %d: %d bytes over a %d budget", reopen, st.Bytes, budget)
+		}
+		s.Close()
+	}
+
+	s, err := Open(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st := s.Stats()
+	if st.Bytes > budget+entrySize {
+		t.Fatalf("%d bytes over a %d budget", st.Bytes, budget)
+	}
+	top, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files int
+	var total int64
+	for _, d := range top {
+		if !d.IsDir() {
+			t.Fatalf("%s is not a shard directory", d.Name())
+		}
+		entries, err := os.ReadDir(filepath.Join(dir, d.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range entries {
+			k, ok := parseFilename(f.Name())
+			if !ok || k.shardDir() != d.Name() {
+				t.Fatalf("%s/%s is not an entry file", d.Name(), f.Name())
+			}
+			info, err := f.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			files++
+			total += info.Size()
+		}
+	}
+	if files != st.Entries || total != st.Bytes {
+		t.Fatalf("disk holds %d files of %d bytes, table %d entries of %d bytes", files, total, st.Entries, st.Bytes)
 	}
 }

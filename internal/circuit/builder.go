@@ -169,59 +169,3 @@ func FinalMapping(c *Circuit, initial []int) []int {
 	}
 	return l2p
 }
-
-// Validate checks the compiled circuit end to end against the problem
-// graph: every 2q gate acts on coupled qubits, and replaying the circuit
-// from the initial mapping schedules every problem edge exactly once.
-// This is the correctness oracle used by compiler tests.
-func Validate(c *Circuit, a *arch.Arch, problem *graph.Graph, initial []int) error {
-	p2l := make([]int, a.N())
-	for i := range p2l {
-		p2l[i] = -1
-	}
-	for l, p := range initial {
-		if p < 0 || p >= a.N() {
-			return fmt.Errorf("initial mapping: logical %d -> invalid physical %d", l, p)
-		}
-		if p2l[p] != -1 {
-			return fmt.Errorf("initial mapping: physical %d assigned twice", p)
-		}
-		p2l[p] = l
-	}
-	done := make(map[graph.Edge]int)
-	for i, g := range c.Gates {
-		if !g.Kind.TwoQubit() {
-			continue
-		}
-		if !a.G.HasEdge(g.Q0, g.Q1) {
-			return fmt.Errorf("gate %d (%v) on uncoupled physical pair (%d,%d)", i, g.Kind, g.Q0, g.Q1)
-		}
-		if g.Kind == GateZZ || g.Kind == GateZZSwap {
-			l0, l1 := p2l[g.Q0], p2l[g.Q1]
-			if l0 < 0 || l1 < 0 {
-				return fmt.Errorf("gate %d: program gate on unmapped qubit", i)
-			}
-			e := graph.NewEdge(l0, l1)
-			if !problem.HasEdge(l0, l1) {
-				return fmt.Errorf("gate %d: program gate on non-edge %v", i, e)
-			}
-			if g.Tagged && g.Tag != e {
-				return fmt.Errorf("gate %d: tag %v but logical pair %v", i, g.Tag, e)
-			}
-			done[e]++
-		}
-		if g.Kind == GateSwap || g.Kind == GateZZSwap {
-			p2l[g.Q0], p2l[g.Q1] = p2l[g.Q1], p2l[g.Q0]
-		}
-	}
-	for _, e := range problem.Edges() {
-		switch done[e] {
-		case 0:
-			return fmt.Errorf("problem edge %v never scheduled", e)
-		case 1:
-		default:
-			return fmt.Errorf("problem edge %v scheduled %d times", e, done[e])
-		}
-	}
-	return nil
-}

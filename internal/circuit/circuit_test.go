@@ -174,64 +174,6 @@ func TestBuilderCustomMapping(t *testing.T) {
 	}
 }
 
-func TestValidateAcceptsCorrectCircuit(t *testing.T) {
-	a := arch.Line(3)
-	problem := graph.Complete(3)
-	b := NewBuilder(a, 3, nil)
-	b.ZZ(0, 1, 1, graph.NewEdge(0, 1))
-	b.ZZ(1, 2, 1, graph.NewEdge(1, 2))
-	b.Swap(1, 2)
-	b.ZZ(0, 1, 1, graph.NewEdge(0, 2))
-	if err := Validate(b.C, a, problem, b.InitialMapping()); err != nil {
-		t.Fatalf("valid circuit rejected: %v", err)
-	}
-}
-
-func TestValidateRejectsMissingEdge(t *testing.T) {
-	a := arch.Line(3)
-	problem := graph.Complete(3)
-	b := NewBuilder(a, 3, nil)
-	b.ZZ(0, 1, 1, graph.NewEdge(0, 1))
-	if err := Validate(b.C, a, problem, b.InitialMapping()); err == nil {
-		t.Fatal("incomplete circuit accepted")
-	}
-}
-
-func TestValidateRejectsDuplicateEdge(t *testing.T) {
-	a := arch.Line(2)
-	problem := graph.Complete(2)
-	b := NewBuilder(a, 2, nil)
-	b.ZZ(0, 1, 1, graph.NewEdge(0, 1))
-	b.ZZ(0, 1, 1, graph.NewEdge(0, 1))
-	if err := Validate(b.C, a, problem, b.InitialMapping()); err == nil {
-		t.Fatal("duplicate program gate accepted")
-	}
-}
-
-func TestValidateRejectsWrongTag(t *testing.T) {
-	a := arch.Line(3)
-	problem := graph.Complete(3)
-	c := New(3)
-	// Tag says (0,2) but qubits hold logical 0,1.
-	c.Append(NewZZ(0, 1, 1, graph.NewEdge(0, 2)))
-	if err := Validate(c, a, problem, []int{0, 1, 2}); err == nil {
-		t.Fatal("mistagged gate accepted")
-	}
-}
-
-func TestValidateZZSwapUpdatesMapping(t *testing.T) {
-	a := arch.Line(3)
-	problem := graph.New(3)
-	problem.AddEdge(0, 1)
-	problem.AddEdge(0, 2)
-	b := NewBuilder(a, 3, nil)
-	b.ZZSwap(0, 1, 1, graph.NewEdge(0, 1)) // logical 0 moves to phys 1
-	b.ZZ(1, 2, 1, graph.NewEdge(0, 2))
-	if err := Validate(b.C, a, problem, b.InitialMapping()); err != nil {
-		t.Fatalf("zzswap circuit rejected: %v", err)
-	}
-}
-
 // Property: depth is monotone under appending gates, and never exceeds the
 // gate count; CXCount equals the decomposed circuit's CNOT tally.
 func TestDepthMonotoneProperty(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync/atomic"
 
@@ -13,7 +12,6 @@ import (
 	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/noise"
 	"github.com/ata-pattern/ataqc/internal/swapnet"
-	"github.com/ata-pattern/ataqc/internal/verify"
 )
 
 // Cache is the compilation cache CompileCached consults: a two-tier
@@ -165,30 +163,37 @@ func CompileCached(ctx context.Context, a *arch.Arch, problem *graph.Graph, opts
 // never stored). opts must already have defaults applied, so the
 // zero-value and explicit-default spellings of an option digest alike.
 func optionsDigest(a *arch.Arch, opts *Options) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	w(uint64(opts.Mode))
-	w(math.Float64bits(opts.Angle))
-	w(math.Float64bits(opts.Alpha))
-	w(uint64(opts.MaxPredictions))
+	h := newWordHash()
+	h.word(uint64(opts.Mode))
+	h.word(math.Float64bits(opts.Angle))
+	h.word(math.Float64bits(opts.Alpha))
+	h.word(uint64(opts.MaxPredictions))
 	if opts.CrosstalkAware {
-		w(1)
+		h.word(1)
 	} else {
-		w(0)
+		h.word(0)
 	}
 	if opts.Noise == nil {
-		w(0)
-		return h.Sum64()
+		h.word(0)
+		return uint64(h)
 	}
-	w(1)
-	w(noiseDigest(a, opts.Noise))
-	return h.Sum64()
+	h.word(1)
+	h.word(noiseDigest(a, opts.Noise))
+	return uint64(h)
+}
+
+// wordHash is 64-bit FNV-1a, the hash of hash/fnv's New64a, fed each
+// value as 8 little-endian bytes. Kept as a plain integer so that a
+// digest allocates nothing.
+type wordHash uint64
+
+func newWordHash() wordHash { return 14695981039346656037 }
+
+func (h *wordHash) word(v uint64) {
+	for i := 0; i < 8; i++ {
+		*h ^= wordHash(byte(v >> (8 * i)))
+		*h *= 1099511628211
+	}
 }
 
 // noiseDigest hashes a model's content. Edge rates are visited in the
@@ -196,30 +201,23 @@ func optionsDigest(a *arch.Arch, opts *Options) uint64 {
 // the map's size folded in so entries outside the coupling graph still
 // perturb the digest.
 func noiseDigest(a *arch.Arch, m *noise.Model) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	w(uint64(len(m.TwoQubit)))
+	h := newWordHash()
+	h.word(uint64(len(m.TwoQubit)))
 	for _, e := range a.G.Edges() {
-		w(uint64(e.U)<<32 | uint64(uint32(e.V)))
-		w(math.Float64bits(m.TwoQubit[e]))
+		h.word(uint64(e.U)<<32 | uint64(uint32(e.V)))
+		h.word(math.Float64bits(m.TwoQubit[e]))
 	}
-	w(uint64(len(m.SingleQubit)))
+	h.word(uint64(len(m.SingleQubit)))
 	for _, v := range m.SingleQubit {
-		w(math.Float64bits(v))
+		h.word(math.Float64bits(v))
 	}
-	w(uint64(len(m.Readout)))
+	h.word(uint64(len(m.Readout)))
 	for _, v := range m.Readout {
-		w(math.Float64bits(v))
+		h.word(math.Float64bits(v))
 	}
-	w(math.Float64bits(m.IdlePerCycle))
-	w(math.Float64bits(m.CrosstalkFactor))
-	return h.Sum64()
+	h.word(math.Float64bits(m.IdlePerCycle))
+	h.word(math.Float64bits(m.CrosstalkFactor))
+	return uint64(h)
 }
 
 // toCanonicalRecord rewrites a compile result into the problem's
@@ -314,29 +312,10 @@ func rehydrate(payload []byte, perm []int, a *arch.Arch, problem *graph.Graph, o
 		Initial: initial,
 		Final:   final,
 		Source:  rec.Source,
-		Metrics: Measure(c, opts.Noise),
 	}
 	res.Stats.SelectedPrefix = rec.SelectedPrefix
-	pass := &verify.Pass{
-		Circuit:       c,
-		Arch:          a,
-		Problem:       problem,
-		Initial:       initial,
-		Final:         final,
-		ReportedDepth: res.Metrics.Depth,
-		CheckDepth:    true,
-		Angle:         opts.Angle,
-	}
-	analyzers := verify.Strict
-	if opts.Verify {
-		analyzers = verify.All
-	}
-	diags := verify.Run(pass, analyzers...)
-	if opts.Verify {
-		res.Diagnostics = diags
-	}
-	if vErr := verify.AsError(diags); vErr != nil {
-		return nil, fmt.Errorf("core: cached circuit failed verification: %w", vErr)
+	if err := checkResult(res, a, problem, &opts); err != nil {
+		return nil, fmt.Errorf("core: cached circuit failed verification: %w", err)
 	}
 	return res, nil
 }

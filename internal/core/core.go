@@ -313,31 +313,9 @@ func CompileContext(ctx context.Context, a *arch.Arch, problem *graph.Graph, opt
 	res.Stats.WorkUnits = bud.spent()
 	rec.tr.Metrics().Gauge("budget.work_units").Set(res.Stats.WorkUnits)
 	vp := rec.phase("verify")
-	res.Metrics = Measure(res.Circuit, opts.Noise)
-	// Static verification (internal/verify): the error-severity analyzers
-	// are the compiler's output contract — a circuit that fails them is a
-	// compiler bug and must not escape. Options.Verify widens the pass to
-	// the warning lints and records everything on the Result.
-	pass := &verify.Pass{
-		Circuit:       res.Circuit,
-		Arch:          a,
-		Problem:       problem,
-		Initial:       res.Initial,
-		Final:         res.Final,
-		ReportedDepth: res.Metrics.Depth,
-		CheckDepth:    true,
-		Angle:         opts.Angle,
-	}
-	analyzers := verify.Strict
-	if opts.Verify {
-		analyzers = verify.All
-	}
-	diags := verify.Run(pass, analyzers...)
-	if opts.Verify {
-		res.Diagnostics = diags
-	}
+	vErr := checkResult(res, a, problem, &opts)
 	vp.end()
-	if vErr := verify.AsError(diags); vErr != nil {
+	if vErr != nil {
 		return nil, fmt.Errorf("core: produced invalid circuit: %w", vErr)
 	}
 	rec.root.SetAttrs(obs.Str("source", res.Source), obs.Int("depth", res.Metrics.Depth))
@@ -376,6 +354,35 @@ func degradeToATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Option
 // six passes for small problems, shrinking with size down to one, so that
 // compile time stays near-linear at scale (Fig 26).
 func refinePasses(n int) int { return min(max(2048/(n+1), 1), 6) }
+
+// checkResult measures res.Circuit into res.Metrics and verifies it,
+// for a fresh compile and a cache hit alike. The error-severity
+// analyzers (verify.Strict) are the compiler's output contract: a
+// circuit that fails them must not escape, and their findings come back
+// as the error. Options.Verify widens the pass to the warning lints and
+// records every finding on res.
+func checkResult(res *Result, a *arch.Arch, problem *graph.Graph, opts *Options) error {
+	res.Metrics = Measure(res.Circuit, opts.Noise)
+	pass := &verify.Pass{
+		Circuit:       res.Circuit,
+		Arch:          a,
+		Problem:       problem,
+		Initial:       res.Initial,
+		Final:         res.Final,
+		ReportedDepth: res.Metrics.Depth,
+		CheckDepth:    true,
+		Angle:         opts.Angle,
+	}
+	analyzers := verify.Strict
+	if opts.Verify {
+		analyzers = verify.All
+	}
+	diags := verify.Run(pass, analyzers...)
+	if opts.Verify {
+		res.Diagnostics = diags
+	}
+	return verify.AsError(diags)
+}
 
 // Measure computes the evaluation metrics of a compiled circuit.
 func Measure(c *circuit.Circuit, nm *noise.Model) Metrics {

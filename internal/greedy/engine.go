@@ -494,9 +494,9 @@ func (e *engine) xtalkConflict(cid int32) bool {
 // scheduleGates is the packed §6.2 conflict-colouring step over e.exec.
 // It reproduces reference_test.go scheduleGates exactly: conflict adjacency
 // lists are built in the same AddEdge timestamp order, the colouring
-// replays graph.GreedyColoring (stable degree-descending order, colour
-// guard c <= deg(v)), and the largest class is the lowest colour on ties
-// with members in ascending exec order. The result lands in e.sched.
+// replays the reference's greedyColoring (stable degree-descending order,
+// colour guard c <= deg(v)), and the largest class is the lowest colour on
+// ties with members in ascending exec order. The result lands in e.sched.
 func (e *engine) scheduleGates(useXt bool) {
 	e.sched = e.sched[:0]
 	k := len(e.exec)
@@ -661,8 +661,8 @@ func (e *engine) scheduleGates(useXt bool) {
 		e.degCnt[e.cDeg[i]]++
 	}
 	// Greedy colouring: lowest colour not used by a neighbour, ignoring
-	// neighbour colours above deg(v) (graph.GreedyColoring's used-array
-	// length guard). A free colour always exists at c <= deg(v), so the
+	// neighbour colours above deg(v) (the reference greedyColoring's
+	// used-array length guard). A free colour always exists at c <= deg(v), so the
 	// scan stays inside colorMk's maxDeg+2 length.
 	e.colors = growI32(e.colors, k)
 	for i := 0; i < k; i++ {
@@ -759,8 +759,8 @@ func (e *engine) siftWedge(root, hi int) {
 	}
 }
 
-// matchWedges replays graph.MaxWeightMatching over the sorted wedges into
-// e.chosen. Because the input is already in comparator order and the order
+// matchWedges replays the reference maxWeightMatching over the sorted
+// wedges into e.chosen. Because the input is already in comparator order and the order
 // is strict, the reference's internal stable sort is the identity — greedy
 // selection and the improvement sweeps both run in wedge index order.
 func (e *engine) matchWedges() {
@@ -799,7 +799,7 @@ func (e *engine) matchSet(q, i int32) {
 
 func (e *engine) matchDel(q int32) { e.usedVal[q] = -1 }
 
-// matchImprove is one MaxWeightMatching improvement sweep: for each
+// matchImprove is one maxWeightMatching improvement sweep: for each
 // unchosen wedge blocked by exactly one chosen wedge, try dropping the
 // blocker and adding this wedge plus the best now-free wedge.
 func (e *engine) matchImprove() bool {

@@ -340,8 +340,8 @@ func scheduleGates(a *arch.Arch, b *circuit.Builder, exec []graph.Edge, xtalk ma
 			}
 		}
 	}
-	colors := graph.GreedyColoring(conflict)
-	best := graph.LargestColorClass(colors)
+	colors := greedyColoring(conflict)
+	best := largestColorClass(colors)
 	out := make([]graph.Edge, 0, len(best))
 	for _, i := range best {
 		out = append(out, exec[i])
@@ -489,7 +489,7 @@ func (ws *workspace) proposeSwaps(a *arch.Arch, b *circuit.Builder, dist [][]int
 	if nm != nil {
 		veto = vetoThreshold(nm)
 	}
-	wedges := make([]graph.WeightedEdge, 0, len(ws.dirty))
+	wedges := make([]weightedEdge, 0, len(ws.dirty))
 	for _, id := range ws.dirty {
 		benefit := ws.benefit[id]
 		ce := ws.couplings[id]
@@ -507,7 +507,7 @@ func (ws *workspace) proposeSwaps(a *arch.Arch, b *circuit.Builder, dist [][]int
 			w *= q * q * q
 		}
 		if w > 0 {
-			wedges = append(wedges, graph.WeightedEdge{Edge: ce, W: w})
+			wedges = append(wedges, weightedEdge{Edge: ce, W: w})
 		}
 	}
 	sort.Slice(wedges, func(i, j int) bool {
@@ -519,7 +519,7 @@ func (ws *workspace) proposeSwaps(a *arch.Arch, b *circuit.Builder, dist [][]int
 		}
 		return wedges[i].V < wedges[j].V
 	})
-	idx := graph.MaxWeightMatching(wedges)
+	idx := maxWeightMatching(wedges)
 	out := make([]graph.Edge, 0, len(idx))
 	for _, i := range idx {
 		out = append(out, wedges[i].Edge)

@@ -73,8 +73,10 @@ type Config struct {
 	// TraceSeed seeds trace-ID generation (0 = crypto-random); tests pin
 	// it for reproducible IDs.
 	TraceSeed int64
-	// Clock drives the flight recorder and SLO tracker (default
-	// obs.SystemClock); tests inject a fake to step time deterministically.
+	// Clock is the server's only time source (default obs.SystemClock):
+	// it times requests, queue waits and compiles for the latency
+	// metrics and responses, and drives the flight recorder and SLO
+	// tracker. Tests inject a fake to step time deterministically.
 	Clock obs.Clock
 	// Cache, when non-nil, is attached to every compile under the
 	// hybrid/greedy/ata strategies (Options.Cache) and surfaced in the
@@ -235,13 +237,13 @@ func (s *Server) guard(endpoint string, track bool, h func(http.ResponseWriter, 
 			job = s.flight.Begin(id, endpoint)
 			r = r.WithContext(telemetry.WithJob(r.Context(), job))
 		}
-		start := time.Now()
+		start := s.cfg.Clock.Now()
 		defer func() {
 			status := tw.status
 			if status == 0 {
 				status = http.StatusOK // handler returned without writing
 			}
-			elapsed := time.Since(start)
+			elapsed := s.cfg.Clock.Now().Sub(start)
 			s.met.Counter(obs.Labeled("serve.http.requests",
 				obs.Label{Key: "endpoint", Value: endpoint},
 				obs.Label{Key: "status", Value: fmt.Sprint(status)})).Add(1)
@@ -377,7 +379,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	ctx := r.Context()
-	enq := time.Now()
+	enq := s.cfg.Clock.Now()
 	select {
 	case s.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -385,7 +387,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.slots }()
-	wait := time.Since(enq)
+	wait := s.cfg.Clock.Now().Sub(enq)
 	s.met.Histogram("serve.queue_wait_us").Observe(wait.Microseconds())
 	job.SetQueueWait(wait)
 
@@ -417,9 +419,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	cctx, cancel := context.WithTimeout(ctx, deadline+time.Second) // the compiler's own ladder fires first
 	defer cancel()
-	start := time.Now()
+	start := s.cfg.Clock.Now()
 	res, err := s.cfg.Compile(cctx, dev, prob, opts)
-	elapsed := time.Since(start)
+	elapsed := s.cfg.Clock.Now().Sub(start)
 	if err != nil {
 		s.fail(w, r, err)
 		return

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ata-pattern/ataqc/internal/obs"
 	"github.com/ata-pattern/ataqc/internal/telemetry"
 )
 
@@ -469,4 +470,87 @@ func TestTraceSeedIsDeterministic(t *testing.T) {
 	if a, b := mk(), mk(); a != b || !hex32.MatchString(a) {
 		t.Fatalf("seeded servers minted %q and %q, want identical valid ids", a, b)
 	}
+}
+
+// stepClock is a fake obs.Clock that moves one hour forward on every
+// read, so every interval it measures is a whole, nonzero number of
+// hours: a length no real request takes.
+type stepClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(time.Hour)
+	return c.now
+}
+
+// TestServeReadsOnlyInjectedClock checks that every latency the server
+// reports of a compile (the HTTP, queue-wait and compile histograms, the
+// response, the flight record and the SLO tracker's latency objective)
+// is measured on Config.Clock.
+func TestServeReadsOnlyInjectedClock(t *testing.T) {
+	srv := New(Config{
+		Workers: 1,
+		Clock:   &stepClock{now: time.Unix(1e9, 0)},
+		SLO:     telemetry.SLOConfig{Window: 1e4 * time.Hour, Latency: time.Minute},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, m := doRaw(t, "POST", ts.URL+"/compile", `{"arch":"grid","edges":[[0,1],[1,2]]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("compile status %d body %v", resp.StatusCode, m)
+	}
+	hourUs := time.Hour.Microseconds()
+	hours := func(what string, us int64) int64 {
+		t.Helper()
+		if us <= 0 || us%hourUs != 0 {
+			t.Fatalf("%s = %d µs, want a whole number of fake-clock hours", what, us)
+		}
+		return us / hourUs
+	}
+	hists := srv.Metrics().Snapshot().Histograms
+	sum := func(name string) int64 {
+		t.Helper()
+		h, ok := hists[name]
+		if !ok || h.Count != 1 {
+			t.Fatalf("histogram %s = %+v, want one observation", name, h)
+		}
+		return h.Sum
+	}
+	httpH := hours("serve.http.latency_us", sum(obs.Labeled("serve.http.latency_us",
+		obs.Label{Key: "endpoint", Value: "compile"})))
+	waitH := hours("serve.queue_wait_us", sum("serve.queue_wait_us"))
+	compileH := hours("serve.latency_us", sum("serve.latency_us"))
+	if httpH <= waitH+compileH {
+		t.Fatalf("request took %dh, not more than its %dh queue wait plus %dh compile", httpH, waitH, compileH)
+	}
+	if got := m["elapsedMs"].(float64); got != float64(compileH*hourUs)/1e3 {
+		t.Fatalf("response elapsedMs = %v, want the compile's %dh", got, compileH)
+	}
+
+	_, dm := doRaw(t, "GET", ts.URL+"/debugz?n=1", "")
+	recent, _ := dm["recent"].([]any)
+	if len(recent) != 1 {
+		t.Fatalf("debugz recent %v, want 1 record", dm["recent"])
+	}
+	rec := recent[0].(map[string]any)
+	if flightH := hours("flight elapsedMs", int64(rec["elapsedMs"].(float64)*1e3)); flightH < httpH {
+		t.Fatalf("flight record spans %dh, less than the request's %dh", flightH, httpH)
+	}
+
+	_, sm := doRaw(t, "GET", ts.URL+"/statz", "")
+	objs, _ := sm["slo"].(map[string]any)["objectives"].([]any)
+	for _, o := range objs {
+		if om := o.(map[string]any); om["name"] == "latency" {
+			if om["bad"].(float64) != 1 {
+				t.Fatalf("latency objective %v, want the hours-long request counted slow", om)
+			}
+			return
+		}
+	}
+	t.Fatalf("no latency objective in %v", objs)
 }

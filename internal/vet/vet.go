@@ -75,6 +75,8 @@ var All = []*Analyzer{MapRange, WallTime, ObsSpan, NakedPanic}
 // compile path from problem graph to verified circuit. internal/obs is
 // included because it is the clock injection point itself — its single
 // legitimate time.Now (SystemClock) carries the audit annotation.
+// internal/serve is included because its latency metrics, responses,
+// flight records and SLO windows must all read the injected Config.Clock.
 var compilePathDirs = map[string]bool{
 	"internal/arch":        true,
 	"internal/baseline":    true,
@@ -86,6 +88,7 @@ var compilePathDirs = map[string]bool{
 	"internal/noise":       true,
 	"internal/obs":         true,
 	"internal/qaoa":        true,
+	"internal/serve":       true,
 	"internal/sim":         true,
 	"internal/solver":      true,
 	"internal/swapnet":     true,

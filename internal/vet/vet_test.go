@@ -84,6 +84,7 @@ func TestScopePredicates(t *testing.T) {
 		{"internal/verify/sema", true, true},
 		{"internal/obs", true, true},
 		{"internal/telemetry", true, true}, // flight recorder / SLO math runs on injected clocks
+		{"internal/serve", true, true},     // latencies and SLO windows read Config.Clock
 		{"internal/bench", false, true},    // times compilations, emits tables
 		{".", false, true},                 // public API renders reports
 		{"cmd/ataqc", false, false},        // CLIs may read the clock
