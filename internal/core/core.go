@@ -159,12 +159,14 @@ type Stats struct {
 	// Elapsed is the wall-clock compile time.
 	Elapsed time.Duration
 	// WorkUnits is the governed work spent: greedy scheduler cycles plus
-	// predicted ATA pattern cycles — the currency Options.MaxNodes caps.
+	// predicted ATA pattern cycles — the currency Options.MaxNodes caps. A
+	// prediction cut once its checkpoint had lost charges the cycles it
+	// simulated up to the cut.
 	WorkUnits int64
 	// Checkpoints counts the selector candidates recorded (including the
 	// synthetic prefix-0 pure-ATA candidate); Predictions counts how many
-	// were evaluated before the budget intervened. Both are zero outside
-	// ModeHybrid.
+	// were scored before the budget intervened, cut ones included. Both
+	// are zero outside ModeHybrid.
 	Checkpoints int
 	Predictions int
 	// SelectedPrefix is the greedy-gate prefix length of the winning hybrid

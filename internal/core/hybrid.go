@@ -189,17 +189,21 @@ func newHybridEval(a *arch.Arch, problem *graph.Graph, g *greedy.Result, opts Op
 // region (the checkpoint is evaluated but is no candidate). The score is
 // independent of the pattern cache's state: a cached grid choice replays
 // the same pattern the uncached dual prediction would pick.
-func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok bool) {
+//
+// The prediction is cut at the first step whose running cost reaches 1,
+// the pure-greedy score: F only grows as steps are added, so such a
+// checkpoint cannot win. A cut score (cut=true) is F at that step, a
+// lower bound of the full F; the charge is the pattern cycles simulated
+// up to it. A checkpoint whose full F is below 1 is never cut, and its F
+// is exactly the uncut one.
+func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok, cut bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
-	pc, err := predictATA(st, h.lfTab, h.opts.PatternCache)
-	if err != nil {
-		return 0, false
+	p := predictor{h: h, cp: cp, st: st, nPhys: h.a.N()}
+	if err := p.run(); err != nil {
+		return 0, false, false
 	}
-	h.bud.charge(pc.cycles)
-	cycles := cp.cycle + pc.cycles
-	cx := h.cxPre[cp.prefixLen] + pc.cx
-	lf := h.lfPre[cp.prefixLen] + pc.logFid
-	return selectorCost(h.opts, cycles, h.oCycles, cx, h.oCX, lf, h.oLF), true
+	h.bud.charge(p.done.cycles)
+	return p.cost(p.done), true, st.Stopped()
 }
 
 // predict is the hybrid prediction engine: every checkpoint's ATA
@@ -240,6 +244,7 @@ func (h *hybridEval) predict(cps []checkpoint, stats *Stats, parent *obs.Span) (
 	met := h.rec.tr.Metrics()
 	waitHist := met.Histogram("pool.queue_wait_us")
 	runHist := met.Histogram("pool.run_us")
+	cuts := met.Counter("core.predict.cut")
 	var (
 		wg       sync.WaitGroup
 		stopOnce sync.Once
@@ -270,17 +275,20 @@ func (h *hybridEval) predict(cps []checkpoint, stats *Stats, parent *obs.Span) (
 					cp := cps[j.i]
 					sp := h.rec.tr.StartSpan(wspan, "predictATA",
 						obs.Int("prefix", cp.prefixLen), obs.Int("cycle", cp.cycle))
-					f, ok := h.scoreCheckpoint(cp, j.want)
+					f, ok, cut := h.scoreCheckpoint(cp, j.want)
 					end := h.rec.clock.Now()
-					sp.SetAttrs(obs.F64("cost", f), obs.Bool("scored", ok))
+					sp.SetAttrs(obs.F64("cost", f), obs.Bool("scored", ok), obs.Bool("cut", cut))
 					sp.End()
+					if cut {
+						cuts.Add(1)
+					}
 					wait, run := pick.Sub(j.fed), end.Sub(pick)
 					waitHist.Observe(wait.Microseconds())
 					runHist.Observe(run.Microseconds())
 					timings[j.i] = CheckpointTiming{
 						Prefix: cp.prefixLen, Cycle: cp.cycle,
 						Worker: w, Wait: wait, Run: run,
-						Cost: f, Scored: ok, Evaluated: true,
+						Cost: f, Scored: ok, Cut: cut, Evaluated: true,
 					}
 				}
 			})
@@ -362,29 +370,93 @@ type prediction struct {
 	logFid float64
 }
 
-func predictATA(st *swapnet.State, lfTab []float64, c *swapnet.PatternCache) (prediction, error) {
-	var out prediction
+// predictor is one checkpoint's ATA prediction and the sink of its
+// patterns. It sums each region's cycles, CX and log-fidelity (each gate
+// contributes its CX count times its pair's logFidTable entry) into cur,
+// folds finished regions into done, and after every step stops st once
+// the running selector cost reaches 1.
+type predictor struct {
+	h         *hybridEval
+	cp        checkpoint
+	st        *swapnet.State
+	nPhys     int
+	done, cur prediction
+	straggler bool // cur is the full-device pass after the regions
+}
+
+// run predicts every detected region, then a full-device pass over the
+// edges the regions left, until the sink stops st. done holds the
+// prediction (a partial one when cut).
+func (p *predictor) run() error {
+	st, c := p.st, p.h.opts.PatternCache
 	for _, r := range detectRegions(st, c) {
-		cnt := predictCounter{lfTab: lfTab, nPhys: st.A.N()}
-		if err := swapnet.ATAWithCache(st, r, cnt.emit, c); err != nil {
-			return out, err
+		p.cur = prediction{}
+		if err := swapnet.ATAWithCache(st, r, p.emit, c); err != nil {
+			return err
 		}
-		if cnt.cycles > out.cycles {
-			out.cycles = cnt.cycles
+		p.done = p.running()
+		if st.Stopped() {
+			return nil
 		}
-		out.cx += cnt.cx
-		out.logFid += cnt.logFid
 	}
 	if !st.Want.Empty() {
-		cnt := predictCounter{lfTab: lfTab, nPhys: st.A.N()}
-		if err := swapnet.ATAWithCache(st, arch.FullRegion(st.A), cnt.emit, c); err != nil {
-			return out, err
+		p.cur, p.straggler = prediction{}, true
+		if err := swapnet.ATAWithCache(st, arch.FullRegion(st.A), p.emit, c); err != nil {
+			return err
 		}
-		out.cycles += cnt.cycles
-		out.cx += cnt.cx
-		out.logFid += cnt.logFid
+		p.done = p.running()
 	}
-	return out, nil
+	return nil
+}
+
+// running folds the current pass into the finished regions: cycles run in
+// parallel with the regions (max) but after them in the straggler pass
+// (sum), gate costs add up. The additions are those of the final fold, so
+// a prediction that is never cut yields exactly its uncut totals.
+func (p *predictor) running() prediction {
+	out := prediction{cycles: max(p.done.cycles, p.cur.cycles), cx: p.done.cx + p.cur.cx, logFid: p.done.logFid + p.cur.logFid}
+	if p.straggler {
+		out.cycles = p.done.cycles + p.cur.cycles
+	}
+	return out
+}
+
+// cost is the selector cost of the checkpoint completed by pc.
+func (p *predictor) cost(pc prediction) float64 {
+	h := p.h
+	return selectorCost(h.opts, p.cp.cycle+pc.cycles, h.oCycles,
+		h.cxPre[p.cp.prefixLen]+pc.cx, h.oCX, h.lfPre[p.cp.prefixLen]+pc.logFid, h.oLF)
+}
+
+// emit counts one step and stops st once the running cost reaches 1.
+// Every term it adds has one sign — cycles and CX only grow, and each
+// log-fidelity term is a log1p(-err) ≤ 0 — and IEEE rounding is monotone,
+// so the running cost never exceeds the final one: a stopped checkpoint
+// would have scored at least 1.
+func (p *predictor) emit(s swapnet.Step) {
+	lfTab := p.h.lfTab
+	p.cur.cycles += s.Depth()
+	for _, g := range s.Compute {
+		n := 2
+		if g.Fused {
+			n = 3
+		}
+		p.cur.cx += n
+		if lfTab != nil {
+			p.cur.logFid += float64(n) * lfTab[g.P*p.nPhys+g.Q]
+		}
+	}
+	for _, l := range s.Swaps {
+		p.cur.cx += 3 * len(l)
+		if lfTab != nil {
+			for _, e := range l {
+				p.cur.logFid += 3 * lfTab[e.U*p.nPhys+e.V]
+			}
+		}
+	}
+	if p.cost(p.running()) >= 1 {
+		p.st.Stop()
+	}
 }
 
 // logFidTable returns log1p(-err) of every coupled physical pair (p, q),
@@ -402,38 +474,6 @@ func logFidTable(a *arch.Arch, m *noise.Model) []float64 {
 		tab[e.U*n+e.V], tab[e.V*n+e.U] = lf, lf
 	}
 	return tab
-}
-
-// predictCounter sums a prediction's cycles, CX and log-fidelity; each
-// gate contributes its CX count times its pair's logFidTable entry.
-type predictCounter struct {
-	lfTab  []float64
-	nPhys  int
-	cycles int
-	cx     int
-	logFid float64
-}
-
-func (c *predictCounter) emit(s swapnet.Step) {
-	c.cycles += s.Depth()
-	for _, g := range s.Compute {
-		n := 2
-		if g.Fused {
-			n = 3
-		}
-		c.cx += n
-		if c.lfTab != nil {
-			c.logFid += float64(n) * c.lfTab[g.P*c.nPhys+g.Q]
-		}
-	}
-	for _, l := range s.Swaps {
-		c.cx += 3 * len(l)
-		if c.lfTab != nil {
-			for _, e := range l {
-				c.logFid += 3 * c.lfTab[e.U*c.nPhys+e.V]
-			}
-		}
-	}
 }
 
 // selectorCost is the cost F of §6.4: alpha weighs normalised depth, and

@@ -193,12 +193,24 @@ func TestParallelPredictionBudgetKeepsBestSoFar(t *testing.T) {
 	}
 	// Learn the greedy cycle count so the budget lands right after greedy
 	// completes: the very first prediction charges push past it, and every
-	// worker's next job observes exhaustion mid-fan-out.
+	// worker's next job observes exhaustion mid-fan-out. Predictions are
+	// cut once they have lost and charge only the cycles they simulated,
+	// so check on an unbounded serial run that the fan-out still has more
+	// jobs than workers and charges far more than the one unit of headroom.
 	g, err := greedy.Compile(a, p, initial, greedy.Options{Angle: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compile(a, p, Options{InitialMapping: initial, MaxNodes: g.Cycles + 1, Workers: 8})
+	full, err := Compile(a, p, Options{InitialMapping: initial, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	if charged := full.Stats.WorkUnits - int64(g.Cycles); full.Stats.Predictions <= workers || charged <= int64(full.Stats.Predictions) {
+		t.Fatalf("unbounded run: %d predictions charging %d units cannot exhaust the budget mid-fan-out",
+			full.Stats.Predictions, charged)
+	}
+	res, err := Compile(a, p, Options{InitialMapping: initial, MaxNodes: g.Cycles + 1, Workers: workers})
 	if err != nil {
 		t.Fatalf("expected degraded result, got error: %v", err)
 	}
@@ -207,6 +219,9 @@ func TestParallelPredictionBudgetKeepsBestSoFar(t *testing.T) {
 	}
 	if !strings.Contains(res.DegradeReason.String(), "prediction budget exhausted") {
 		t.Fatalf("expected the best-so-far rung, got %q", res.DegradeReason.String())
+	}
+	if d := res.DegradeReason; d.Checkpoint == 0 || d.Checkpoint >= d.Checkpoints {
+		t.Fatalf("exhaustion after %d of %d checkpoints is not mid-fan-out", d.Checkpoint, d.Checkpoints)
 	}
 	verifyClean(t, a, p, res)
 }

@@ -9,20 +9,21 @@ import (
 	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/greedy"
+	"github.com/ata-pattern/ataqc/internal/noise"
 	"github.com/ata-pattern/ataqc/internal/swapnet"
 )
 
-// predictFixture returns the selector context of a grid-64/ER-0.5 hybrid
-// compile, its middle greedy checkpoint and that checkpoint's want set,
-// with the pattern cache warmed by scoring the checkpoint once.
-func predictFixture(tb testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
+// predictFixture returns the selector context of a hybrid compile of p on
+// a (under noise model nm, nil for none), its middle greedy checkpoint
+// and that checkpoint's want set, with the pattern cache warmed by
+// scoring the checkpoint once.
+func predictFixture(tb testing.TB, a *arch.Arch, p *graph.Graph, nm *noise.Model) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
 	tb.Helper()
-	a := arch.GridN(64)
-	p := graph.GnpConnected(64, 0.5, rand.New(rand.NewSource(1)))
-	opts := Options{Workers: 1, PatternCache: swapnet.NewPatternCache(0)}
+	opts := Options{Workers: 1, Noise: nm, PatternCache: swapnet.NewPatternCache(0)}
 	opts.applyDefaults()
 	var cps []checkpoint
 	g, err := greedy.Compile(a, p, greedy.InitialMapping(a, p), greedy.Options{
+		Noise: nm,
 		Angle: opts.Angle,
 		Checkpoint: func(prefixLen int, l2p []int, cycle int) {
 			cps = append(cps, checkpoint{prefixLen: prefixLen, l2p: l2p, cycle: cycle})
@@ -38,45 +39,60 @@ func predictFixture(tb testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
 	cp := cps[len(cps)/2]
 	want := swapnet.NewEdgeSet(p)
 	removeScheduled(want, g.Circuit.Gates[:cp.prefixLen])
-	if _, ok := h.scoreCheckpoint(cp, want.Clone()); !ok {
+	if _, ok, _ := h.scoreCheckpoint(cp, want.Clone()); !ok {
 		tb.Fatal("checkpoint not scored")
 	}
 	return h, cp, want
 }
 
-// predictAllocCeiling is the allocation count of one warm-cache checkpoint
-// score (want-set clone included) when the dense-bitset want sets and the
-// pooled pattern buffers went in. The patterns themselves allocate
-// nothing; what remains is the per-checkpoint State and want-set copy and
-// region detection.
-const predictAllocCeiling = 21
+// gridFixture is a grid-64/ER-0.5 checkpoint.
+func gridFixture(tb testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
+	return predictFixture(tb, arch.GridN(64), graph.GnpConnected(64, 0.5, rand.New(rand.NewSource(1))), nil)
+}
 
 // TestPredictCheckpointAllocs pins the allocation cost of scoring one
-// checkpoint from a warm pattern cache, so a map, closure or per-step
-// slice creeping back into the prediction loop fails here.
+// checkpoint from a warm pattern cache, want-set clone included, so a
+// map, closure or per-step slice creeping back into the prediction loop
+// fails here. The patterns themselves allocate nothing; what remains is
+// the per-checkpoint State and want-set copy and region detection. Each
+// ceiling is the count measured when the case went in.
 func TestPredictCheckpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation and pool semantics skew allocation counts")
 	}
-	h, cp, want := predictFixture(t)
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, ok := h.scoreCheckpoint(cp, want.Clone()); !ok {
-			t.Fatal("checkpoint not scored")
+	hh := arch.HeavyHexN(64)
+	cases := []struct {
+		name    string
+		fixture func(testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet)
+		ceiling float64
+	}{
+		{"grid-64/er-0.5", gridFixture, 21},
+		{"heavy-hex-64/er-0.3/noise", func(tb testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
+			return predictFixture(tb, hh, graph.GnpConnected(64, 0.3, rand.New(rand.NewSource(1))), noise.Synthetic(hh, 1))
+		}, 23},
+	}
+	for _, c := range cases {
+		h, cp, want := c.fixture(t)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, ok, _ := h.scoreCheckpoint(cp, want.Clone()); !ok {
+				t.Fatal("checkpoint not scored")
+			}
+		})
+		t.Logf("%s: %.1f allocations per checkpoint", c.name, allocs)
+		if allocs > c.ceiling {
+			t.Fatalf("%s: scoring one checkpoint allocates %.1f objects, ceiling %.0f", c.name, allocs, c.ceiling)
 		}
-	})
-	if allocs > predictAllocCeiling {
-		t.Fatalf("scoring one checkpoint allocates %.1f objects, ceiling %d", allocs, predictAllocCeiling)
 	}
 }
 
 // BenchmarkPredictCheckpoint times scoring one grid-64/ER-0.5 checkpoint
 // from a warm pattern cache.
 func BenchmarkPredictCheckpoint(b *testing.B) {
-	h, cp, want := predictFixture(b)
+	h, cp, want := gridFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		predictSink, _ = h.scoreCheckpoint(cp, want.Clone())
+		predictSink, _, _ = h.scoreCheckpoint(cp, want.Clone())
 	}
 }
 

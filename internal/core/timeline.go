@@ -32,9 +32,14 @@ type CheckpointTiming struct {
 	Run  time.Duration `json:"runNs"`
 	// Cost is the selector cost F the prediction produced; meaningful only
 	// when Scored. Evaluated means the prediction ran at all (a pattern may
-	// decline a region, leaving Evaluated && !Scored).
+	// decline a region, leaving Evaluated && !Scored). Cut means the
+	// prediction stopped at the first step where its running cost reached
+	// the pure-greedy score 1, so the checkpoint had lost: Cost then holds
+	// that running cost, at least 1 and at most the full prediction's F.
+	// A cut entry is Scored and counts in Stats.Predictions.
 	Cost      float64 `json:"cost"`
 	Scored    bool    `json:"scored"`
+	Cut       bool    `json:"cut"`
 	Evaluated bool    `json:"evaluated"`
 }
 

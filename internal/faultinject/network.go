@@ -185,10 +185,18 @@ func runOversizedGraph(ctx context.Context, baseURL string) NetworkReport {
 	return postBody(ctx, baseURL, rep, "application/json", sb.String())
 }
 
+// Request bodies of the decoder faults, shared with the daemon's decoder
+// fuzz target as seeds: syntactically broken JSON, and a typo'd option
+// name that DisallowUnknownFields must reject.
+const (
+	MalformedJSONBody = `{"arch": "grid", "edges": [[0,1`
+	UnknownFieldBody  = `{"arch":"grid","edges":[[0,1]],"strategyy":"greedy"}`
+)
+
 // runMalformedJSON sends syntactically broken JSON and expects a typed 400.
 func runMalformedJSON(ctx context.Context, baseURL string) NetworkReport {
 	rep := NetworkReport{Fault: "network/malformed-json"}
-	return postBody(ctx, baseURL, rep, "application/json", `{"arch": "grid", "edges": [[0,1`)
+	return postBody(ctx, baseURL, rep, "application/json", MalformedJSONBody)
 }
 
 // runWrongContentType sends a non-JSON payload; the decoder rejects it with
@@ -202,7 +210,7 @@ func runWrongContentType(ctx context.Context, baseURL string) NetworkReport {
 // loudly with a typed 400, never compile with silently-dropped settings.
 func runUnknownField(ctx context.Context, baseURL string) NetworkReport {
 	rep := NetworkReport{Fault: "network/unknown-field"}
-	return postBody(ctx, baseURL, rep, "application/json", `{"arch":"grid","edges":[[0,1]],"strategyy":"greedy"}`)
+	return postBody(ctx, baseURL, rep, "application/json", UnknownFieldBody)
 }
 
 // runMidRequestCancel abandons a compile in flight: the daemon must notice

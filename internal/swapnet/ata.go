@@ -77,14 +77,16 @@ func ATA(st *State, region arch.Region, emit EmitFunc) error {
 }
 
 // ATAWithCache is ATA accelerated by a PatternCache: region geometry is
-// memoised, and on grids the dual prediction (unit-structured vs snake) is
-// run once per distinct (region, mapping, want) state — the clone runs'
-// recorded steps are replayed for the winner instead of executing the
-// pattern a third time, and a repeat invocation from the same state (the
-// hybrid compiler re-materialises the winning candidate it already scored)
-// runs only the winning pattern. The emitted step sequence is identical to
-// ATA's for every input; a nil cache is exactly ATA.
+// memoised, and on grids the dual prediction (unit-structured vs snake)
+// is run once per distinct (region, mapping, want) state — a repeat
+// invocation from the same state (the hybrid compiler re-materialises the
+// winning candidate it already scored) runs only the winning pattern. The
+// emitted step sequence is identical to ATA's for every input; a nil
+// cache is exactly ATA.
 func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache) error {
+	if st.stopped {
+		return nil
+	}
 	if st.scr == nil {
 		st.scr = scratchPool.Get().(*scratch)
 		defer func() {
@@ -114,22 +116,9 @@ func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache)
 		// The unit-structured pattern and the boustrophedon snake are both
 		// linear-depth on a grid; which constant wins depends on the region
 		// shape and want density (the snake is all unified ops, the
-		// structured one parallelises bipartite layers). Predict both on
-		// clones and emit the cheaper (cycle depth, then CX).
-		if c != nil {
-			gridATACached(st, ri, emit, c)
-			return nil
-		}
-		var cg, cs Counter
-		stG := st.fork(0)
-		gridATA(stG, region, cg.Emit, nil)
-		stS := st.fork(1)
-		snakeATA(stS, region, cs.Emit, nil)
-		if snakeBeatsGrid(stG, stS, cg, cs) {
-			snakeATA(st, region, emit, nil)
-		} else {
-			gridATA(st, region, emit, nil)
-		}
+		// structured one parallelises bipartite layers). Predict both and
+		// emit the cheaper (cycle depth, then CX).
+		gridDual(st, region, ri, emit, c)
 	case arch.KindSycamore:
 		sycamoreATA(st, region, emit)
 	case arch.KindHexagon:
@@ -152,39 +141,68 @@ func snakeBeatsGrid(stG, stS *State, cg, cs Counter) bool {
 		(cs.Cycles == cg.Cycles && cs.CX < cg.CX))
 }
 
-// gridATACached runs the grid dual prediction through the cache: a choice
-// hit executes only the winning pattern; a miss predicts both on copies
-// (recording steps), takes over the winner's final state, replays its
-// steps, and memoises the decision with its counts.
-func gridATACached(st *State, ri *regionInfo, emit EmitFunc, c *PatternCache) {
-	fp := st.A.Fingerprint()
-	occ, want := ri.stateHash(st)
-	if ch, ok := c.choiceGet(fp, ri.norm, occ, want); ok {
-		if ch.snake {
-			snakeATA(st, ri.norm, emit, c)
-		} else {
-			gridATA(st, ri.norm, emit, c)
+// gridDual runs the grid dual prediction over the normalised region and
+// emits the winner's steps. With a cache (ri is then the region's entry)
+// a memoised choice runs only the winning pattern. Otherwise the snake
+// runs first, on a copy of st, recording its steps:
+//
+//   - if it leaves wanted edges behind, the structured pattern wins
+//     whatever it does, so it runs on st itself;
+//   - if not, the structured pattern runs on a second copy and is
+//     stopped as soon as its cycles exceed the snake's, since
+//     snakeBeatsGrid can then only pick the snake. The winner's final
+//     state becomes st's and its recorded steps are replayed.
+//
+// The choice depends only on the copies' runs, which the sink cannot
+// stop, so it is memoised even when the sink stops st.
+func gridDual(st *State, region arch.Region, ri *regionInfo, emit EmitFunc, c *PatternCache) {
+	var fp, occ, want uint64
+	if c != nil {
+		fp = st.A.Fingerprint()
+		occ, want = ri.stateHash(st)
+		if snake, ok := c.choiceGet(fp, region, occ, want); ok {
+			if snake {
+				snakeATA(st, region, emit, c)
+			} else {
+				gridATA(st, region, emit, c)
+			}
+			return
 		}
-		return
 	}
 	b := st.scratch()
-	rg, rs := &b.recs[0], &b.recs[1]
-	rg.reset()
-	rs.reset()
-	stG := st.fork(0)
-	gridATA(stG, ri.norm, rg.emit, c)
+	rs, rg := &b.recs[1], &b.recs[0]
+	rs.reset(nil, 0)
 	stS := st.fork(1)
-	snakeATA(stS, ri.norm, rs.emit, c)
-	snake := snakeBeatsGrid(stG, stS, rg.c, rs.c)
-	winner, rec := stG, rg
-	if snake {
-		winner, rec = stS, rs
+	snakeATA(stS, region, rs.emit, c)
+	snake := false
+	if !stS.Want.Empty() {
+		gridATA(st, region, emit, c)
+	} else {
+		stG := st.fork(0)
+		rg.reset(stG, rs.c.Cycles)
+		gridATA(stG, region, rg.emit, c)
+		snake = stG.stopped || snakeBeatsGrid(stG, stS, rg.c, rs.c)
+		if snake {
+			st.replay(stS, rs, emit)
+		} else {
+			st.replay(stG, rg, emit)
+		}
 	}
+	if c != nil {
+		c.choicePut(fp, region, occ, want, snake)
+	}
+}
+
+// replay takes over winner's final state and emits its recorded steps
+// until the sink stops st.
+func (st *State) replay(winner *State, rec *stepRecorder, emit EmitFunc) {
 	winner.copyTo(st)
 	for _, s := range rec.steps {
+		if st.stopped {
+			return
+		}
 		emit(s)
 	}
-	c.choicePut(fp, ri.norm, occ, want, &gridChoice{snake: snake, counts: rec.c})
 }
 
 // GridStructuredATA runs the unit-structured grid pattern (§3.1 + App. A)

@@ -13,11 +13,10 @@ import (
 // recompute on every invocation: normalised regions, the unit segments of a
 // region, the snake restriction to a region, and — for grids — which of the
 // two candidate patterns (unit-structured vs snake) wins for a given
-// (region, mapping, want) state, together with its step/depth counts. The
-// hybrid compiler's prediction loop evaluates many checkpoints over the same
-// few active regions, and the winning candidate is re-materialised after
-// selection from the exact state it was scored at, so these entries see real
-// hits.
+// (region, mapping, want) state. The hybrid compiler's prediction loop
+// evaluates many checkpoints over the same few active regions, and the
+// winning candidate is re-materialised after selection from the exact
+// state it was scored at, so these entries see real hits.
 //
 // Entries are keyed by the architecture's structural fingerprint rather than
 // the *Arch pointer, so independently constructed but identical devices
@@ -77,13 +76,6 @@ type regionInfo struct {
 	// pattern choice depends on, see stateHash).
 	snakeSeg []int
 	snakeOK  bool
-}
-
-// gridChoice is a choice entry: which grid pattern won the dual prediction
-// from a given state, and the counts it was scored with.
-type gridChoice struct {
-	snake  bool
-	counts Counter
 }
 
 // NewPatternCache returns a cache bounded to capacity entries (0 or
@@ -255,10 +247,12 @@ func (c *PatternCache) NormalizeRegion(a *arch.Arch, r arch.Region) arch.Region 
 // stateHash digests the part of st the grid pattern choice depends on: the
 // occupants of the dependency qubits and the wanted edges among them. When
 // the snake restriction is contiguous both candidate patterns stay inside
-// the region, so only region-local state matters; otherwise snakeATA falls
-// back to the full snake and the whole mapping and want set participate.
-// The want digest XORs per-edge hashes, so it depends only on which edges
-// are wanted.
+// the region, so only region-local state matters — plus one bit, whether
+// any wanted edge lies outside the region, because snakeBeatsGrid asks
+// whether a candidate left the whole want set empty. Otherwise snakeATA
+// falls back to the full snake and the whole mapping and want set
+// participate. The want digest XORs per-edge hashes, so it depends only
+// on which edges are wanted.
 func (ri *regionInfo) stateHash(st *State) (occ, want uint64) {
 	occ = fnvOffset
 	local := ri.snakeOK || st.A.Snake == nil
@@ -271,12 +265,17 @@ func (ri *regionInfo) stateHash(st *State) (occ, want uint64) {
 			occ = fnvWord(fnvWord(occ, uint64(q)), uint64(l))
 		}
 	}
+	outside := false
 	st.Want.each(func(e graph.Edge) {
 		if local && (!ri.inRegion[st.L2P[e.U]] || !ri.inRegion[st.L2P[e.V]]) {
+			outside = true
 			return
 		}
 		want ^= fnvWord(fnvOffset, uint64(e.U)<<32|uint64(uint32(e.V)))
 	})
+	if outside {
+		occ = fnvWord(occ, ^uint64(0))
+	}
 	return occ, want
 }
 
@@ -295,38 +294,48 @@ func fnvWord(h, w uint64) uint64 {
 	return h
 }
 
-// choiceGet looks up a memoised grid pattern choice.
-func (c *PatternCache) choiceGet(fp uint64, r arch.Region, occ, want uint64) (*gridChoice, bool) {
+// choiceGet looks up a memoised grid pattern choice: whether the snake
+// won the dual prediction from the given state.
+func (c *PatternCache) choiceGet(fp uint64, r arch.Region, occ, want uint64) (snake, ok bool) {
 	v, ok := c.get(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want})
 	if !ok {
-		return nil, false
+		return false, false
 	}
-	return v.(*gridChoice), true
+	return v.(bool), true
 }
 
 // choicePut stores a grid pattern choice.
-func (c *PatternCache) choicePut(fp uint64, r arch.Region, occ, want uint64, ch *gridChoice) {
-	c.put(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want}, ch)
+func (c *PatternCache) choicePut(fp uint64, r arch.Region, occ, want uint64, snake bool) {
+	c.put(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want}, snake)
 }
 
 // stepRecorder buffers emitted steps while counting them. Emitted slices
 // are valid only during the emit call (EmitFunc), so it copies each step
-// into flat arenas; the recorded steps stay valid for its lifetime.
+// into flat arenas; the recorded steps stay valid for its lifetime. With
+// a stop State it stops that State once the counted cycles exceed
+// maxCycles.
 type stepRecorder struct {
-	steps  []Step
-	gates  []PhysGate
-	edges  []graph.Edge
-	layers [][]graph.Edge
-	c      Counter
+	steps     []Step
+	gates     []PhysGate
+	edges     []graph.Edge
+	layers    [][]graph.Edge
+	c         Counter
+	stop      *State
+	maxCycles int
 }
 
-func (r *stepRecorder) reset() {
+// reset empties the recorder and sets its cycle bound (stop may be nil).
+func (r *stepRecorder) reset(stop *State, maxCycles int) {
 	r.steps, r.gates, r.edges, r.layers = r.steps[:0], r.gates[:0], r.edges[:0], r.layers[:0]
 	r.c = Counter{}
+	r.stop, r.maxCycles = stop, maxCycles
 }
 
 func (r *stepRecorder) emit(s Step) {
 	r.c.Emit(s)
+	if r.stop != nil && r.c.Cycles > r.maxCycles {
+		r.stop.Stop()
+	}
 	rec := Step{ParallelSwaps: s.ParallelSwaps}
 	if len(s.Compute) > 0 {
 		i := len(r.gates)

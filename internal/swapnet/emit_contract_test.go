@@ -115,3 +115,51 @@ func TestEmitContract(t *testing.T) {
 		}
 	}
 }
+
+// TestStopEmitsPrefix checks the stop half of the EmitFunc contract: a
+// sink that stops the State after its k-th step receives exactly the
+// first k steps of the unstopped run, and a stopped State runs no further
+// pattern. Every family runs uncached and through a cache, including the
+// grid dual's replay and choice-hit paths.
+func TestStopEmitsPrefix(t *testing.T) {
+	families := []*arch.Arch{
+		arch.Line(12), arch.Grid(5, 5), arch.Sycamore(4, 4),
+		arch.Hexagon(4, 4), arch.HeavyHex(2, 8), arch.Lattice3D(2, 3, 3),
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, a := range families {
+		for trial := 0; trial < 6; trial++ {
+			n := 2 + rng.Intn(a.N()-1)
+			p := graph.Gnp(n, 0.2+0.7*rng.Float64(), rng)
+			initial := randomMapping(rng, n, a.N())
+			region := randomRegion(rng, a)
+			var full []Step
+			if err := ATA(NewState(a, n, initial, p), region, func(s Step) { full = append(full, copyStep(s)) }); err != nil {
+				t.Fatal(err)
+			}
+			cache := NewPatternCache(0)
+			for k := 1; k <= len(full); k++ {
+				for _, c := range []*PatternCache{nil, cache} {
+					st := NewState(a, n, initial, p)
+					var got []Step
+					sink := func(s Step) {
+						got = append(got, copyStep(s))
+						if len(got) == k {
+							st.Stop()
+						}
+					}
+					if err := ATAWithCache(st, region, sink, c); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, full[:k]) {
+						t.Fatalf("%s trial %d: stopping after step %d emitted %d steps, not the run's first %d (cache %v)",
+							a.Name, trial, k, len(got), k, c != nil)
+					}
+					if err := ATAWithCache(st, region, sink, c); err != nil || len(got) != k {
+						t.Fatalf("%s trial %d: a stopped State ran on (%d steps, err %v)", a.Name, trial, len(got), err)
+					}
+				}
+			}
+		}
+	}
+}

@@ -60,7 +60,7 @@ func gridATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 	b := st.scratch()
 	R := len(units)
 	for t := 0; t < R; t++ {
-		if sc.done() {
+		if st.halted(sc) {
 			return
 		}
 		pairs := b.pairs[:0]
@@ -72,7 +72,7 @@ func gridATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 			continue
 		}
 		bipartiteGrid(st, units, pairs, sc, emit)
-		if sc.done() || t == R-1 {
+		if st.halted(sc) || t == R-1 {
 			break
 		}
 		// Unit exchange: one vertical SWAP layer per paired rows.
@@ -87,7 +87,7 @@ func gridATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 		b.swaps = layer
 		emit(b.step(nil, layer, false))
 	}
-	if !sc.done() {
+	if !st.halted(sc) {
 		// Residual intra-unit pairs (short regions can finish the
 		// unit-level rounds before every row fully mixes).
 		linear(st, cachedRegionUnits(st.A, region, c), linearOpts{sc: sc}, emit)
@@ -128,7 +128,7 @@ func bipartiteGrid(st *State, units [][]int, pairs [][2]int, sc *scope, emit Emi
 	}
 	b := st.scratch()
 	for cyc := 0; cyc < C; cyc++ {
-		if sc.done() {
+		if st.halted(sc) {
 			return
 		}
 		start := cyc % 2
@@ -155,7 +155,7 @@ func bipartiteGrid(st *State, units [][]int, pairs [][2]int, sc *scope, emit Emi
 			emit(Step{Compute: vertical})
 		}
 		// Fused ops and plain swaps share the layer.
-		if len(fused) > 0 || len(swaps) > 0 {
+		if (len(fused) > 0 || len(swaps) > 0) && !st.stopped {
 			emit(b.step(fused, swaps, true))
 		}
 	}

@@ -36,31 +36,25 @@ func heavyHexATA(st *State, region arch.Region, emit EmitFunc) {
 	}
 	path := a.Path[i0 : i1+1]
 
-	// Off-path qubits whose anchors fall inside the interval.
-	type offQ struct {
-		q       int
-		anchors []int // indices into `path` (region-local)
-	}
-	var offs []offQ
+	// Off-path qubits whose anchors fall inside the interval; the region
+	// is the path plus those qubits.
+	b := st.scratch()
+	offs, anchors, all := b.offs[:0], b.anchors[:0], append(b.qubits[:0], path...)
 	for _, op := range a.OffPath {
-		var local []int
+		a0 := len(anchors)
 		for _, gi := range op.PathAnchors {
 			if gi >= i0 && gi <= i1 {
-				local = append(local, gi-i0)
+				anchors = append(anchors, gi-i0)
 			}
 		}
-		if len(local) > 0 {
-			offs = append(offs, offQ{q: op.Qubit, anchors: local})
+		if len(anchors) > a0 {
+			offs = append(offs, offQubit{q: op.Qubit, a0: a0, a1: len(anchors)})
+			all = append(all, op.Qubit)
 		}
 	}
-
-	all := append([]int(nil), path...)
-	for _, o := range offs {
-		all = append(all, o.q)
-	}
+	b.offs, b.anchors, b.qubits = offs, anchors, all
 	sc := newScope(st, all)
 
-	b := st.scratch()
 	// offLayer schedules, after each linear round, the wanted gates between
 	// off-path qubits and the occupants currently at their anchors.
 	offLayer := func(int) {
@@ -69,7 +63,7 @@ func heavyHexATA(st *State, region arch.Region, emit EmitFunc) {
 			if b.busy[o.q] {
 				continue
 			}
-			for _, ai := range o.anchors {
+			for _, ai := range anchors[o.a0:o.a1] {
 				p := path[ai]
 				if b.busy[p] {
 					continue
@@ -90,12 +84,12 @@ func heavyHexATA(st *State, region arch.Region, emit EmitFunc) {
 		}
 	}
 
-	for pass := 0; pass < maxHeavyHexPasses && !sc.done(); pass++ {
+	for pass := 0; pass < maxHeavyHexPasses && !st.halted(sc); pass++ {
 		if pass > 0 {
 			// Promote off-path occupants onto the path in one SWAP layer.
 			layer := b.swaps[:0]
 			for _, o := range offs {
-				for _, ai := range o.anchors {
+				for _, ai := range anchors[o.a0:o.a1] {
 					p := path[ai]
 					if b.busy[p] {
 						continue
@@ -121,9 +115,16 @@ func heavyHexATA(st *State, region arch.Region, emit EmitFunc) {
 		}, emit)
 	}
 
-	if !sc.done() {
+	if !st.halted(sc) {
 		routeStragglers(st, sc, all, emit)
 	}
+}
+
+// offQubit is an off-path qubit of a heavy-hex region and the range
+// [a0, a1) of the scratch anchors arena holding its region-local anchor
+// positions on the path.
+type offQubit struct {
+	q, a0, a1 int
 }
 
 // routeStragglers explicitly routes every remaining wanted pair inside the
@@ -132,11 +133,21 @@ func heavyHexATA(st *State, region arch.Region, emit EmitFunc) {
 // completeness net under the structured passes; tests track that cliques
 // never reach it.
 func routeStragglers(st *State, sc *scope, regionQubits []int, emit EmitFunc) {
-	inRegion := make(map[int]bool, len(regionQubits))
-	for _, q := range regionQubits {
-		inRegion[q] = true
+	b := st.scratch()
+	n := st.A.N()
+	if len(b.seen) < n {
+		b.seen, b.prev = make([]uint32, n), make([]int32, n)
+		b.stamp = 0
 	}
-	for {
+	for _, q := range regionQubits {
+		b.busy[q] = true // busy marks region membership for this call
+	}
+	defer func() {
+		for _, q := range regionQubits {
+			b.busy[q] = false
+		}
+	}()
+	for !st.stopped {
 		// Take the smallest remaining edge: deterministic.
 		tag, found := sc.rel.first()
 		if !found {
@@ -147,45 +158,53 @@ func routeStragglers(st *State, sc *scope, regionQubits []int, emit EmitFunc) {
 			continue
 		}
 		pu, pv := st.L2P[tag.U], st.L2P[tag.V]
-		// BFS within the region from pu to pv.
-		prev := map[int]int{pu: pu}
-		queue := []int{pu}
-		for len(queue) > 0 {
-			if _, ok := prev[pv]; ok {
-				break
-			}
-			v := queue[0]
-			queue = queue[1:]
+		// BFS within the region from pu to pv. A qubit is visited when its
+		// seen entry holds this search's stamp.
+		if b.stamp++; b.stamp == 0 {
+			clear(b.seen)
+			b.stamp = 1
+		}
+		b.seen[pu], b.prev[pu] = b.stamp, int32(pu)
+		queue := append(b.queue[:0], int32(pu))
+		for head := 0; head < len(queue) && b.seen[pv] != b.stamp; head++ {
+			v := int(queue[head])
 			for _, w := range st.A.G.Neighbors(v) {
-				if !inRegion[w] {
-					continue
-				}
-				if _, seen := prev[w]; !seen {
-					prev[w] = v
-					queue = append(queue, w)
+				if b.busy[w] && b.seen[w] != b.stamp {
+					b.seen[w], b.prev[w] = b.stamp, int32(v)
+					queue = append(queue, int32(w))
 				}
 			}
 		}
-		if _, ok := prev[pv]; !ok {
+		b.queue = queue
+		if b.seen[pv] != b.stamp {
 			// Unroutable inside the region (should not happen: regions are
 			// connected path intervals); drop from scope to avoid livelock.
 			sc.computed(tag)
 			continue
 		}
 		// Reconstruct path pv -> pu and walk tag.U toward tag.V.
-		var walk []int
-		for v := pv; v != pu; v = prev[v] {
+		walk := b.walk[:0]
+		for v := pv; v != pu; v = int(b.prev[v]) {
 			walk = append(walk, v)
 		}
 		walk = append(walk, pu)
+		b.walk = walk
 		// walk[len-1] = pu ... walk[0] = pv; move occupant of pu forward.
 		for i := len(walk) - 1; i >= 2; i-- {
+			if st.stopped {
+				return
+			}
 			st.ApplySwap(walk[i], walk[i-1])
-			emit(Step{Swaps: [][]graph.Edge{{graph.NewEdge(walk[i], walk[i-1])}}})
+			b.swaps = append(b.swaps[:0], graph.NewEdge(walk[i], walk[i-1]))
+			emit(b.step(nil, b.swaps, false))
+		}
+		if st.stopped {
+			return
 		}
 		p, q := walk[1], walk[0]
 		if t2, ok := st.WantedPhys(p, q); ok {
-			emit(Step{Compute: []PhysGate{st.emitCompute(sc, p, q, t2, false)}})
+			b.gates[0] = append(b.gates[0][:0], st.emitCompute(sc, p, q, t2, false))
+			emit(Step{Compute: b.gates[0]})
 		} else {
 			sc.computed(tag)
 		}

@@ -42,23 +42,28 @@ func hexagonATA(st *State, region arch.Region, emit EmitFunc) {
 			p0--
 		}
 	}
-	var all []int
+	b := st.scratch()
+	all := b.qubits[:0]
 	for u := region.U0; u <= region.U1; u++ {
 		all = append(all, clipUnit(a.Units[u], p0, p1)...)
 	}
+	b.qubits = all
 	sc := newScope(st, all)
 	C := region.U1 - region.U0 + 1
 	for t := 0; t < C; t++ {
-		if sc.done() {
+		if st.halted(sc) {
 			return
 		}
 		last := t == C-1
-		var lines [][]int
+		paths, lines := b.paths[:0], b.lines[:0]
 		for u := region.U0 + t%2; u+1 <= region.U1; u += 2 {
-			if p := uPath(a, u, p0, p1); p != nil {
-				lines = append(lines, p)
+			i := len(paths)
+			if p := uPath(paths, a, u, p0, p1); p != nil {
+				paths = p
+				lines = append(lines, paths[i:len(paths):len(paths)])
 			}
 		}
+		b.paths, b.lines = paths, lines
 		if len(lines) == 0 {
 			continue
 		}
@@ -76,12 +81,12 @@ func clipUnit(unit []int, p0, p1 int) []int {
 	return unit[p0 : p1+1]
 }
 
-// uPath returns the U-shaped Hamiltonian path over columns (c, c+1)
+// uPath appends to dst the U-shaped Hamiltonian path over columns (c, c+1)
 // restricted to rows [p0, p1]: it descends the left column to the rung end,
-// crosses the rung, and ascends the right column, so path[0:R] is one
-// column and path[R:2R] the other. Returns nil when neither end row hosts a
-// rung (cannot happen for even-height ranges).
-func uPath(a *arch.Arch, c, p0, p1 int) []int {
+// crosses the rung, and ascends the right column, so the R appended slots
+// are one column and the R after them the other. Returns nil when neither
+// end row hosts a rung (cannot happen for even-height ranges).
+func uPath(dst []int, a *arch.Arch, c, p0, p1 int) []int {
 	left, right := a.Units[c], a.Units[c+1]
 	if p1 >= len(left) {
 		p1 = len(left) - 1
@@ -93,7 +98,7 @@ func uPath(a *arch.Arch, c, p0, p1 int) []int {
 		return nil
 	}
 	rungAt := func(r int) bool { return a.G.HasEdge(left[r], right[r]) }
-	path := make([]int, 0, 2*(p1-p0+1))
+	path := dst
 	switch {
 	case rungAt(p1): // cross at the bottom
 		for r := p0; r <= p1; r++ {

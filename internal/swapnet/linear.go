@@ -33,7 +33,8 @@ type linearOpts struct {
 //
 // Gates on pairs that are not wanted degrade to plain SWAPs; rounds whose
 // compute layer is empty still swap (the dynamics are what guarantee
-// coverage). The pattern stops early when the scope is exhausted.
+// coverage). The pattern stops early when the scope is exhausted or the
+// sink stops the State.
 func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 	maxLen := 0
 	for _, ln := range lines {
@@ -54,7 +55,7 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 	}
 	b := st.scratch()
 	for k := 0; k < rounds; k++ {
-		if sc.done() {
+		if st.halted(sc) {
 			// Callers with an extraLayer merge its work into sc, so an
 			// exhausted scope always means the whole phase is finished.
 			return
@@ -95,7 +96,7 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 		if len(compute) > 0 || len(swaps) > 0 {
 			emit(b.step(compute, swaps, !opts.unfused))
 		}
-		if opts.extraLayer != nil {
+		if opts.extraLayer != nil && !st.stopped {
 			opts.extraLayer(k)
 		}
 	}

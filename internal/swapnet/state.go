@@ -15,7 +15,6 @@ package swapnet
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
@@ -179,6 +178,8 @@ func (s Step) Depth() int {
 // EmitFunc consumes pattern steps. A Step's slices (Compute, Swaps and
 // each swap layer) are valid only during the call: the patterns refill the
 // same buffers for the next step, so a sink that keeps a step must copy it.
+// A sink that has seen enough calls State.Stop on the State the pattern is
+// advancing: the pattern then emits no further step and returns.
 type EmitFunc func(Step)
 
 // State is the mutable execution state a pattern advances: the placement of
@@ -189,23 +190,58 @@ type State struct {
 	P2L  []int // physical -> logical; -1 for empty slots
 	Want *EdgeSet
 
-	scr *scratch // pattern buffers; shared only with st's own forks
+	stopped bool     // set by Stop; see halted
+	scr     *scratch // pattern buffers; shared only with st's own forks
 }
+
+// Stop ends the pattern advancing st: it emits no step after the current
+// one and returns at its next check, and every later pattern call on st
+// returns at once. The State is then mid-pattern — it may have advanced
+// past the last emitted step — so it is only good for discarding. The
+// hybrid compiler's prediction sink stops a checkpoint whose cost can no
+// longer win; materialisation never stops.
+func (st *State) Stop() { st.stopped = true }
+
+// Stopped reports whether Stop was called on st.
+func (st *State) Stopped() bool { return st.stopped }
+
+// halted reports whether a pattern phase over sc must return: a sink
+// stopped st, or sc's work is done.
+func (st *State) halted(sc *scope) bool { return st.stopped || sc.done() }
 
 // scratch is the memory a State's patterns reuse instead of allocating per
 // round: the one live scope, the buffers every emitted Step is built in,
-// and the two State copies and step recorders of the grid dual prediction.
+// the two State copies and step recorders of the grid dual prediction, and
+// the per-pattern buffers below.
 // ATAWithCache borrows one from scratchPool for the duration of the call.
 type scratch struct {
 	sc       scope
 	logicals []int
+	mask     []uint64      // newScope's logical qubits, one bit each; zero between uses
 	gates    [2][]PhysGate // a step's compute layer; bipartiteGrid fills two at once
 	swaps    []graph.Edge  // a step's swap layer
 	layers   [1][]graph.Edge
 	pairs    [][2]int
-	busy     []bool // per physical qubit, all false between uses
+	busy     []bool // per physical qubit, all false between uses (see routeStragglers)
 	forks    [2]State
 	recs     [2]stepRecorder
+
+	// The region and line buffers of the sycamore, hexagon and heavy-hex
+	// patterns: a region's qubits, the lines of one round cut from the
+	// paths arena, and heavy-hex's off-path qubits with their anchors.
+	qubits  []int
+	paths   []int
+	lines   [][]int
+	offs    []offQubit
+	anchors []int
+	// routeStragglers' breadth-first search: a qubit is visited when its
+	// seen entry equals stamp, which every search bumps, and prev holds
+	// its predecessor then.
+	seen  []uint32
+	prev  []int32
+	stamp uint32
+	queue []int32
+	walk  []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -228,7 +264,7 @@ func (st *State) fork(i int) *State {
 	b := st.scratch()
 	f := &b.forks[i]
 	st.copyTo(f)
-	f.scr = b
+	f.scr, f.stopped = b, false
 	return f
 }
 
@@ -376,32 +412,58 @@ type scope struct {
 }
 
 // newScope collects the wanted edges whose both endpoints currently reside
-// on the given physical qubits.
+// on the given physical qubits. It marks those logicals in a bit mask and
+// intersects each one's row of the want bitset with it, 64 bits at a time.
 func newScope(st *State, phys ...[]int) *scope {
 	b := st.scratch()
 	sc := &b.sc
 	w := st.Want
-	sc.rel.reset(w.n)
+	n := w.n
+	sc.rel.reset(n)
+	mw := (n + 63) / 64
+	if cap(b.mask) < mw {
+		b.mask = make([]uint64, mw)
+	}
+	mask := b.mask[:mw]
 	logicals := b.logicals[:0]
 	for _, ps := range phys {
 		for _, p := range ps {
-			if l := st.P2L[p]; l >= 0 && l < w.n {
+			if l := st.P2L[p]; l >= 0 && l < n && mask[l>>6]&(1<<(l&63)) == 0 {
+				mask[l>>6] |= 1 << (l & 63)
 				logicals = append(logicals, l)
 			}
 		}
 	}
-	slices.Sort(logicals)
 	b.logicals = logicals
-	// Ascending logicals make every (x, y) below a canonical edge, bit x*n+y.
-	for i, x := range logicals {
-		row := x * w.n
-		for _, y := range logicals[i+1:] {
-			if k := row + y; w.bits[k>>6]&(1<<(k&63)) != 0 {
-				sc.rel.add(graph.Edge{U: x, V: y})
+	// Row x holds the edges (x, y), y > x, at bits x*n+y; its bits at
+	// y <= x are always zero. Mask bits at y >= n are zero, so a chunk
+	// running past the row's end adds nothing.
+	for _, x := range logicals {
+		row := x * n
+		for y0 := (x + 1) &^ 63; y0 < n; y0 += 64 {
+			m := mask[y0>>6]
+			if m == 0 {
+				continue
+			}
+			chunk := bitsAt(w.bits, row+y0) & m
+			for chunk != 0 {
+				sc.rel.add(graph.Edge{U: x, V: y0 + bits.TrailingZeros64(chunk)})
+				chunk &= chunk - 1
 			}
 		}
 	}
+	clear(mask)
 	return sc
+}
+
+// bitsAt returns the 64 bits of ws starting at bit i (zeros past the end).
+func bitsAt(ws []uint64, i int) uint64 {
+	wi, s := i>>6, uint(i&63)
+	v := ws[wi] >> s
+	if s != 0 && wi+1 < len(ws) {
+		v |= ws[wi+1] << (64 - s)
+	}
+	return v
 }
 
 func (sc *scope) computed(e graph.Edge) { sc.rel.Remove(e) }

@@ -220,7 +220,7 @@ func TestSycamorePairingExchangesRows(t *testing.T) {
 	n := 8
 	st := NewState(a, n, nil, graph.Complete(n))
 	sc := newScope(st, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	linear(st, [][]int{zigZagSegment(a, 0, 0, 3)}, linearOpts{sc: sc, preserveDynamics: true}, func(Step) {})
+	linear(st, [][]int{zigZagSegment(nil, a, 0, 0, 3)}, linearOpts{sc: sc, preserveDynamics: true}, func(Step) {})
 	// Logical qubits 0..3 started in row 0 (phys 0..3); after the pairing
 	// they must all reside in row 1 (phys 4..7), and vice versa.
 	for l := 0; l < 4; l++ {
@@ -253,7 +253,7 @@ func TestHexagonUPathExchangesColumns(t *testing.T) {
 	a := arch.Hexagon(4, 2)
 	st := NewState(a, 8, nil, graph.Complete(8))
 	sc := newScope(st, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	p := uPath(a, 0, 0, 3)
+	p := uPath(nil, a, 0, 0, 3)
 	if p == nil {
 		t.Fatal("no U-path for columns 0,1")
 	}
@@ -441,7 +441,7 @@ func TestUPathBothRungParities(t *testing.T) {
 	// the top (row 0). Column pair (1,2): rungs at odd rows -> crosses at
 	// the bottom (row 5).
 	for c := 0; c < 3; c++ {
-		p := uPath(a, c, 0, 5)
+		p := uPath(nil, a, c, 0, 5)
 		if p == nil {
 			t.Fatalf("no U-path for columns (%d,%d)", c, c+1)
 		}
@@ -472,7 +472,7 @@ func TestUPathSubRange(t *testing.T) {
 	// Even-height sub-ranges at both offsets must still produce paths.
 	for _, rg := range [][2]int{{0, 3}, {1, 4}, {2, 5}, {0, 5}} {
 		for c := 0; c < 3; c++ {
-			p := uPath(a, c, rg[0], rg[1])
+			p := uPath(nil, a, c, rg[0], rg[1])
 			if p == nil {
 				t.Fatalf("no U-path for cols (%d,%d) rows %v", c, c+1, rg)
 			}

@@ -26,7 +26,8 @@ func sycamoreATA(st *State, region arch.Region, emit EmitFunc) {
 		return
 	}
 	// Collect all region qubits for the global scope.
-	var all []int
+	b := st.scratch()
+	all := b.qubits[:0]
 	for u := region.U0; u <= region.U1; u++ {
 		unit := a.Units[u]
 		p1 := region.P1
@@ -35,17 +36,21 @@ func sycamoreATA(st *State, region arch.Region, emit EmitFunc) {
 		}
 		all = append(all, unit[region.P0:p1+1]...)
 	}
+	b.qubits = all
 	sc := newScope(st, all)
 	R := region.U1 - region.U0 + 1
 	for t := 0; t < R; t++ {
-		if sc.done() {
+		if st.halted(sc) {
 			return
 		}
 		last := t == R-1
-		var lines [][]int
+		paths, lines := b.paths[:0], b.lines[:0]
 		for u := region.U0 + t%2; u+1 <= region.U1; u += 2 {
-			lines = append(lines, zigZagSegment(a, u, region.P0, region.P1))
+			i := len(paths)
+			paths = zigZagSegment(paths, a, u, region.P0, region.P1)
+			lines = append(lines, paths[i:len(paths):len(paths)])
 		}
+		b.paths, b.lines = paths, lines
 		if len(lines) == 0 {
 			continue
 		}
@@ -53,10 +58,11 @@ func sycamoreATA(st *State, region arch.Region, emit EmitFunc) {
 	}
 }
 
-// zigZagSegment returns the zig-zag path over rows (u, u+1) restricted to
-// columns [p0, p1]. All consecutive entries are coupled: the zig-zag only
-// uses vertical and diagonal couplings within the column range.
-func zigZagSegment(a *arch.Arch, u, p0, p1 int) []int {
+// zigZagSegment appends to dst the zig-zag path over rows (u, u+1)
+// restricted to columns [p0, p1]. All consecutive entries are coupled: the
+// zig-zag only uses vertical and diagonal couplings within the column
+// range.
+func zigZagSegment(dst []int, a *arch.Arch, u, p0, p1 int) []int {
 	top, bottom := a.Units[u], a.Units[u+1]
 	if p1 >= len(top) {
 		p1 = len(top) - 1
@@ -64,7 +70,7 @@ func zigZagSegment(a *arch.Arch, u, p0, p1 int) []int {
 	if p1 >= len(bottom) {
 		p1 = len(bottom) - 1
 	}
-	path := make([]int, 0, 2*(p1-p0+1))
+	path := dst
 	if u%2 == 0 {
 		for c := p0; c <= p1; c++ {
 			path = append(path, bottom[c], top[c])

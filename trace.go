@@ -65,7 +65,9 @@ type Phase struct {
 
 // CheckpointTiming is one hybrid checkpoint's prediction telemetry: which
 // pool worker ran it (1-based), how long it waited in the queue versus
-// ran, and the selector cost it produced.
+// ran, and the selector cost it produced. Cut marks a prediction stopped
+// at the first step where its running cost reached the pure-greedy score
+// 1 — the checkpoint had lost — and Cost then holds that running cost.
 type CheckpointTiming struct {
 	Prefix    int
 	Cycle     int
@@ -74,6 +76,7 @@ type CheckpointTiming struct {
 	Run       time.Duration
 	Cost      float64
 	Scored    bool
+	Cut       bool
 	Evaluated bool
 }
 
