@@ -113,6 +113,9 @@ type Arch struct {
 	unitOnce sync.Once
 	unitOf   []int
 	posOf    []int
+
+	spanOnce       sync.Once
+	spanLo, spanHi []int
 }
 
 // OffPathQubit is a heavy-hex bridge qubit hanging off the longest path.

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -316,6 +317,84 @@ func TestEnclosingRegionHeavyHexPath(t *testing.T) {
 	r2 := EnclosingRegion(a, []int{op.Qubit})
 	if r2.I1 < r2.I0 {
 		t.Fatalf("empty interval for off-path qubit: %+v", r2)
+	}
+}
+
+// enclosingRegionOracle is EnclosingRegion as it was before the per-Arch
+// path-span index: the path branch builds a map of path indices and a map
+// of off-path anchors on every call.
+func enclosingRegionOracle(a *Arch, phys []int) Region {
+	if len(phys) == 0 {
+		return Region{}
+	}
+	if len(a.Units) > 0 {
+		unitOf, posOf := a.unitIndex()
+		r := Region{U0: 1 << 30, P0: 1 << 30, U1: -1, P1: -1}
+		for _, q := range phys {
+			u, p := unitOf[q], posOf[q]
+			if u < r.U0 {
+				r.U0 = u
+			}
+			if u > r.U1 {
+				r.U1 = u
+			}
+			if p < r.P0 {
+				r.P0 = p
+			}
+			if p > r.P1 {
+				r.P1 = p
+			}
+		}
+		return r
+	}
+	idx := make(map[int]int, len(a.Path))
+	for i, q := range a.Path {
+		idx[q] = i
+	}
+	anchors := make(map[int][]int, len(a.OffPath))
+	for _, op := range a.OffPath {
+		anchors[op.Qubit] = op.PathAnchors
+	}
+	r := Region{UsesPath: true, I0: 1 << 30, I1: -1}
+	grow := func(i int) {
+		if i < r.I0 {
+			r.I0 = i
+		}
+		if i > r.I1 {
+			r.I1 = i
+		}
+	}
+	for _, q := range phys {
+		if i, ok := idx[q]; ok {
+			grow(i)
+			continue
+		}
+		for _, i := range anchors[q] {
+			grow(i)
+		}
+	}
+	return r
+}
+
+// TestEnclosingRegionMatchesMapOracle checks EnclosingRegion against the
+// map-based oracle for random qubit subsets on the path-encoded devices
+// (heavy-hex, Mumbai, and a line's path with its unit encoding dropped)
+// and on unit-encoded ones.
+func TestEnclosingRegionMatchesMapOracle(t *testing.T) {
+	line := Line(12)
+	archs := []*Arch{
+		HeavyHex(2, 8), HeavyHex(3, 9), HeavyHexN(64), Mumbai(),
+		{Name: "line-12-path", Kind: KindLine, G: line.G, Snake: line.Snake, Path: line.Path},
+		line, Grid(5, 4), Sycamore(4, 4),
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, a := range archs {
+		for trial := 0; trial < 200; trial++ {
+			phys := rng.Perm(a.N())[:1+rng.Intn(a.N())]
+			if got, want := EnclosingRegion(a, phys), enclosingRegionOracle(a, phys); got != want {
+				t.Fatalf("%s %v: EnclosingRegion %+v, oracle %+v", a.Name, phys, got, want)
+			}
+		}
 	}
 }
 

@@ -58,33 +58,38 @@ func EnclosingRegion(a *Arch, phys []int) Region {
 		}
 		return r
 	}
-	idx := make(map[int]int, len(a.Path))
-	for i, q := range a.Path {
-		idx[q] = i
-	}
-	anchors := make(map[int][]int, len(a.OffPath))
-	for _, op := range a.OffPath {
-		anchors[op.Qubit] = op.PathAnchors
-	}
+	lo, hi := a.pathSpans()
 	r := Region{UsesPath: true, I0: 1 << 30, I1: -1}
-	grow := func(i int) {
-		if i < r.I0 {
-			r.I0 = i
-		}
-		if i > r.I1 {
-			r.I1 = i
-		}
-	}
 	for _, q := range phys {
-		if i, ok := idx[q]; ok {
-			grow(i)
-			continue
-		}
-		for _, i := range anchors[q] {
-			grow(i)
-		}
+		r.I0, r.I1 = min(r.I0, lo[q]), max(r.I1, hi[q])
 	}
 	return r
+}
+
+// pathSpans returns, for every physical qubit, the inclusive interval of
+// Arch.Path indices it adds to an enclosing path region: its own index
+// for a qubit on the path, the span of its anchors for an off-path qubit
+// (the last OffPath entry wins), and an empty interval (lo > hi) for any
+// other. Like unitIndex, the slices are computed once per Arch and are
+// read-only.
+func (a *Arch) pathSpans() (lo, hi []int) {
+	a.spanOnce.Do(func() {
+		a.spanLo, a.spanHi = make([]int, a.N()), make([]int, a.N())
+		for q := range a.spanLo {
+			a.spanLo[q], a.spanHi[q] = 1<<30, -1
+		}
+		for _, op := range a.OffPath {
+			l, h := 1<<30, -1
+			for _, i := range op.PathAnchors {
+				l, h = min(l, i), max(h, i)
+			}
+			a.spanLo[op.Qubit], a.spanHi[op.Qubit] = l, h
+		}
+		for i, q := range a.Path {
+			a.spanLo[q], a.spanHi[q] = i, i
+		}
+	})
+	return a.spanLo, a.spanHi
 }
 
 // Overlaps reports whether two regions of the same encoding intersect.

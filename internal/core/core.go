@@ -92,10 +92,10 @@ type Options struct {
 	// PatternCache, when non-nil, is a pattern cache shared across
 	// compilations (typically owned by a core.Cache): the prediction loop,
 	// materialisation, and pure-ATA replay all consult it instead of a
-	// per-compile cache. Sharing is output-safe — cached entries replay
-	// exactly what an uncached run computes (see scoreCheckpoint) — so the
-	// compiled circuit is byte-identical with or without it. Nil makes
-	// CompileContext build a private per-compile cache.
+	// per-compile cache. Sharing is output-safe — it holds only region
+	// geometry, which depends on nothing but the device and the region —
+	// so the compiled circuit is byte-identical with or without it. Nil
+	// makes CompileContext build a private per-compile cache.
 	PatternCache *swapnet.PatternCache
 }
 
@@ -174,9 +174,10 @@ type Stats struct {
 	// the mode ran no selector. It identifies the selected checkpoint, so
 	// determinism tests can pin the selection, not just the output bytes.
 	SelectedPrefix int
-	// CacheHits/CacheMisses report pattern-cache effectiveness for this
-	// compilation (deltas, so a shared Options.PatternCache does not bleed
-	// other compiles' counters in). Only ModeHybrid compiles report them.
+	// CacheHits/CacheMisses count this compilation's pattern-cache lookups
+	// of region geometry, the only entries the cache holds (deltas, so a
+	// shared Options.PatternCache does not bleed other compiles' counters
+	// in). Only ModeHybrid compiles report them.
 	CacheHits   int64
 	CacheMisses int64
 	// CacheTier reports which compilation-cache tier served this result
@@ -439,7 +440,7 @@ func compileATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Options,
 // cache c, appending to b. Each region's pattern build is wrapped in an
 // "ata.region" span under parent (nil trace = no spans).
 func runATARegions(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache, tr *obs.Trace, parent *obs.Span) error {
-	regions := detectRegions(st, c)
+	regions := detectRegions(st)
 	for _, r := range regions {
 		if err := swapnet.ATATraced(st, r, builderEmit(b, angle), c, tr, parent); err != nil {
 			return err
@@ -480,30 +481,52 @@ func builderEmit(b *circuit.Builder, angle float64) swapnet.EmitFunc {
 
 // detectRegions finds the disjoint connected components of the remaining
 // problem graph, maps each to its enclosing architecture region, and merges
-// overlapping regions (§6.3, Fig 19). Regions are returned in a canonical
-// sorted order: component discovery iterates a map, and the emission order
-// is observable (the snake fallback of a grid region can touch qubits
-// outside the region), so without the sort two identical compilations could
-// emit different — equally valid — circuits. The cache memoises the
-// NormalizeRegion calls.
-func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
-	edges := st.Want.Edges()
-	if len(edges) == 0 {
+// overlapping regions (§6.3, Fig 19). A union-find over the want edges
+// gives the components; a counting sort then buckets the logical qubits
+// that have a wanted edge by component root, so each component's physical
+// qubits are one contiguous run, and one buffer holds it all. Regions are
+// returned in a canonical sorted order: the emission order is observable
+// (the snake fallback of a grid region can touch qubits outside the
+// region), and the overlap merge below depends on the order it starts
+// from.
+func detectRegions(st *swapnet.State) []arch.Region {
+	if st.Want.Empty() {
 		return nil
 	}
-	uf := graph.NewUnionFind(len(st.L2P))
-	for _, e := range edges {
-		uf.Union(e.U, e.V)
+	n := len(st.L2P)
+	buf := make([]int, 4*n+1)
+	size, end, phys := buf[n:2*n], buf[2*n:3*n+1], buf[3*n+1:]
+	var uf graph.UnionFind
+	uf.Init(buf[:n], size)
+	st.Want.Each(func(e graph.Edge) { uf.Union(e.U, e.V) })
+	// A qubit has a wanted edge iff its set has another member. end[r+1]
+	// first counts root r's qubits, then end[r] becomes the start of r's
+	// bucket and, once the qubits are placed, its end.
+	comps := 0
+	for x := 0; x < n; x++ {
+		if r := uf.Find(x); size[r] > 1 {
+			if end[r+1] == 0 {
+				comps++
+			}
+			end[r+1]++
+		}
 	}
-	compPhys := make(map[int][]int)
-	for _, e := range edges {
-		root := uf.Find(e.U)
-		compPhys[root] = append(compPhys[root], st.L2P[e.U], st.L2P[e.V])
+	for r := 0; r < n; r++ {
+		end[r+1] += end[r]
 	}
-	var regions []arch.Region
-	//vet:ignore maprange regions are sorted (sortRegions) before any order-sensitive use
-	for _, phys := range compPhys {
-		regions = append(regions, c.NormalizeRegion(st.A, arch.EnclosingRegion(st.A, phys)))
+	for x := 0; x < n; x++ {
+		if r := uf.Find(x); size[r] > 1 {
+			phys[end[r]] = st.L2P[x]
+			end[r]++
+		}
+	}
+	regions := make([]arch.Region, 0, comps)
+	lo := 0
+	for r := 0; r < n; r++ {
+		if hi := end[r]; hi > lo {
+			regions = append(regions, swapnet.NormalizeRegion(st.A, arch.EnclosingRegion(st.A, phys[lo:hi])))
+			lo = hi
+		}
 	}
 	sortRegions(regions)
 	// Merge overlaps to a fixpoint.
@@ -512,7 +535,7 @@ func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
 		for i := 0; i < len(regions) && !merged; i++ {
 			for j := i + 1; j < len(regions); j++ {
 				if regions[i].Overlaps(regions[j]) {
-					regions[i] = c.NormalizeRegion(st.A, regions[i].Union(regions[j]))
+					regions[i] = swapnet.NormalizeRegion(st.A, regions[i].Union(regions[j]))
 					regions = append(regions[:j], regions[j+1:]...)
 					merged = true
 					break

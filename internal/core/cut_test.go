@@ -21,7 +21,7 @@ import (
 func uncutScore(h *hybridEval, cp checkpoint, want *swapnet.EdgeSet) (float64, bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
 	var out prediction
-	for _, r := range detectRegions(st, swapnet.NewPatternCache(0)) {
+	for _, r := range detectRegions(st) {
 		cnt := oracleCount(h, st, r)
 		if cnt == nil {
 			return 0, false

@@ -111,10 +111,8 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 	stats.SelectedPrefix = best.prefixLen
 
 	// --- Materialise the winning greedy-prefix + ATA-suffix circuit. ---
-	// The prediction cache flows into materialisation: the winning
-	// candidate's grid pattern choices were memoised while it was scored, so
-	// the ATA suffix replays the recorded decisions instead of re-running
-	// the dual prediction.
+	// The State has no Bound, so every grid dual runs its candidates out
+	// and the winner's steps are built into the circuit uncut.
 	mph := rec.phase("materialize")
 	b := circuit.NewBuilder(a, problem.N(), initial)
 	var mErr error
@@ -187,18 +185,20 @@ func newHybridEval(a *arch.Arch, problem *graph.Graph, g *greedy.Result, opts Op
 // returns the selector cost F (§6.4), charging the budget with the
 // prediction's pattern cycles. ok=false means the pattern declined the
 // region (the checkpoint is evaluated but is no candidate). The score is
-// independent of the pattern cache's state: a cached grid choice replays
-// the same pattern the uncached dual prediction would pick.
+// independent of the pattern cache's state: the cache holds only region
+// geometry.
 //
 // The prediction is cut at the first step whose running cost reaches 1,
 // the pure-greedy score: F only grows as steps are added, so such a
 // checkpoint cannot win. A cut score (cut=true) is F at that step, a
 // lower bound of the full F; the charge is the pattern cycles simulated
 // up to it. A checkpoint whose full F is below 1 is never cut, and its F
-// is exactly the uncut one.
+// is exactly the uncut one. The grid dual's candidates are priced by the
+// same rule while they run (the predictor is the State's Bound).
 func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok, cut bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
 	p := predictor{h: h, cp: cp, st: st, nPhys: h.a.N()}
+	st.Bound = &p
 	if err := p.run(); err != nil {
 		return 0, false, false
 	}
@@ -218,8 +218,8 @@ func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f fl
 //   - each job's result lands in its checkpoint's slot, and selection scans
 //     the slots in ascending order with a strict-less comparison, so ties
 //     break the same way for every worker count;
-//   - scores are cache-independent — a cached grid choice replays exactly
-//     the pattern the uncached dual prediction picks;
+//   - scores are cache-independent — the cache holds only region
+//     geometry;
 //   - budget charges are commutative atomic adds, so WorkUnits does not
 //     depend on the schedule whenever every checkpoint is evaluated.
 //
@@ -374,13 +374,15 @@ type prediction struct {
 // patterns. It sums each region's cycles, CX and log-fidelity (each gate
 // contributes its CX count times its pair's logFidTable entry) into cur,
 // folds finished regions into done, and after every step stops st once
-// the running selector cost reaches 1.
+// the running selector cost reaches 1. As st's swapnet.Bound it prices the
+// grid dual's candidates the same way in shadow, one per scratch slot.
 type predictor struct {
 	h         *hybridEval
 	cp        checkpoint
 	st        *swapnet.State
 	nPhys     int
 	done, cur prediction
+	shadow    [2]prediction
 	straggler bool // cur is the full-device pass after the regions
 }
 
@@ -389,12 +391,12 @@ type predictor struct {
 // prediction (a partial one when cut).
 func (p *predictor) run() error {
 	st, c := p.st, p.h.opts.PatternCache
-	for _, r := range detectRegions(st, c) {
+	for _, r := range detectRegions(st) {
 		p.cur = prediction{}
 		if err := swapnet.ATAWithCache(st, r, p.emit, c); err != nil {
 			return err
 		}
-		p.done = p.running()
+		p.done = p.fold(p.cur)
 		if st.Stopped() {
 			return nil
 		}
@@ -404,19 +406,19 @@ func (p *predictor) run() error {
 		if err := swapnet.ATAWithCache(st, arch.FullRegion(st.A), p.emit, c); err != nil {
 			return err
 		}
-		p.done = p.running()
+		p.done = p.fold(p.cur)
 	}
 	return nil
 }
 
-// running folds the current pass into the finished regions: cycles run in
+// fold folds a pass's sums into the finished regions: cycles run in
 // parallel with the regions (max) but after them in the straggler pass
 // (sum), gate costs add up. The additions are those of the final fold, so
 // a prediction that is never cut yields exactly its uncut totals.
-func (p *predictor) running() prediction {
-	out := prediction{cycles: max(p.done.cycles, p.cur.cycles), cx: p.done.cx + p.cur.cx, logFid: p.done.logFid + p.cur.logFid}
+func (p *predictor) fold(cur prediction) prediction {
+	out := prediction{cycles: max(p.done.cycles, cur.cycles), cx: p.done.cx + cur.cx, logFid: p.done.logFid + cur.logFid}
 	if p.straggler {
-		out.cycles = p.done.cycles + p.cur.cycles
+		out.cycles = p.done.cycles + cur.cycles
 	}
 	return out
 }
@@ -434,29 +436,45 @@ func (p *predictor) cost(pc prediction) float64 {
 // so the running cost never exceeds the final one: a stopped checkpoint
 // would have scored at least 1.
 func (p *predictor) emit(s swapnet.Step) {
+	if _, lost := p.add(&p.cur, s); lost {
+		p.st.Stop()
+	}
+}
+
+// Reset implements swapnet.Bound: slot k's shadow starts from the current
+// pass's sums.
+func (p *predictor) Reset(k int) { p.shadow[k] = p.cur }
+
+// Add implements swapnet.Bound: it folds s into slot k's shadow exactly as
+// emit folds it into the current pass, so a replay of the same steps stops
+// st at the step where the shadow lost.
+func (p *predictor) Add(k int, s swapnet.Step) (float64, bool) { return p.add(&p.shadow[k], s) }
+
+// add sums step s into pass sums cur and returns the running cost with cur
+// as the current pass, and whether it has reached 1.
+func (p *predictor) add(cur *prediction, s swapnet.Step) (float64, bool) {
 	lfTab := p.h.lfTab
-	p.cur.cycles += s.Depth()
+	cur.cycles += s.Depth()
 	for _, g := range s.Compute {
 		n := 2
 		if g.Fused {
 			n = 3
 		}
-		p.cur.cx += n
+		cur.cx += n
 		if lfTab != nil {
-			p.cur.logFid += float64(n) * lfTab[g.P*p.nPhys+g.Q]
+			cur.logFid += float64(n) * lfTab[g.P*p.nPhys+g.Q]
 		}
 	}
 	for _, l := range s.Swaps {
-		p.cur.cx += 3 * len(l)
+		cur.cx += 3 * len(l)
 		if lfTab != nil {
 			for _, e := range l {
-				p.cur.logFid += 3 * lfTab[e.U*p.nPhys+e.V]
+				cur.logFid += 3 * lfTab[e.U*p.nPhys+e.V]
 			}
 		}
 	}
-	if p.cost(p.running()) >= 1 {
-		p.st.Stop()
-	}
+	f := p.cost(p.fold(*cur))
+	return f, f >= 1
 }
 
 // logFidTable returns log1p(-err) of every coupled physical pair (p, q),

@@ -9,12 +9,19 @@ type UnionFind struct {
 
 // NewUnionFind returns a union-find over n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
+	uf := &UnionFind{}
+	uf.Init(make([]int, n), make([]int, n))
 	return uf
+}
+
+// Init makes uf len(parent) singleton sets kept in the caller's parent and
+// size slices, which must have the same length; uf allocates nothing of
+// its own. size[r] is the size of root r's set.
+func (uf *UnionFind) Init(parent, size []int) {
+	uf.parent, uf.size = parent, size
+	for i := range parent {
+		parent[i], size[i] = i, 1
+	}
 }
 
 // Find returns the representative of x's set.

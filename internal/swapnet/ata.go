@@ -76,13 +76,10 @@ func ATA(st *State, region arch.Region, emit EmitFunc) error {
 	return ATAWithCache(st, region, emit, nil)
 }
 
-// ATAWithCache is ATA accelerated by a PatternCache: region geometry is
-// memoised, and on grids the dual prediction (unit-structured vs snake)
-// is run once per distinct (region, mapping, want) state — a repeat
-// invocation from the same state (the hybrid compiler re-materialises the
-// winning candidate it already scored) runs only the winning pattern. The
-// emitted step sequence is identical to ATA's for every input; a nil
-// cache is exactly ATA.
+// ATAWithCache is ATA accelerated by a PatternCache: the region geometry
+// (normalised region, unit segments, restricted snake) is memoised per
+// (architecture, region). The emitted step sequence is identical to ATA's
+// for every input; a nil cache is exactly ATA.
 func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache) error {
 	if st.stopped {
 		return nil
@@ -94,10 +91,8 @@ func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache)
 			st.scr = nil
 		}()
 	}
-	var ri *regionInfo
 	if c != nil {
-		ri = c.structural(st.A, region)
-		region = ri.norm
+		region = c.structural(st.A, region).norm
 	} else {
 		region = NormalizeRegion(st.A, region)
 	}
@@ -118,7 +113,7 @@ func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache)
 		// shape and want density (the snake is all unified ops, the
 		// structured one parallelises bipartite layers). Predict both and
 		// emit the cheaper (cycle depth, then CX).
-		gridDual(st, region, ri, emit, c)
+		gridDual(st, region, emit, c)
 	case arch.KindSycamore:
 		sycamoreATA(st, region, emit)
 	case arch.KindHexagon:
@@ -142,55 +137,77 @@ func snakeBeatsGrid(stG, stS *State, cg, cs Counter) bool {
 }
 
 // gridDual runs the grid dual prediction over the normalised region and
-// emits the winner's steps. With a cache (ri is then the region's entry)
-// a memoised choice runs only the winning pattern. Otherwise the snake
-// runs first, on a copy of st, recording its steps:
+// emits the winner's steps. The candidates run on scratch copies of st,
+// recording their steps, and the winner's final state becomes st's while
+// its recorded steps are replayed. Under st.Bound a copy stops as soon as
+// its shadow has lost. The snake runs first:
 //
-//   - if it leaves wanted edges behind, the structured pattern wins
-//     whatever it does, so it runs on st itself;
-//   - if not, the structured pattern runs on a second copy and is
-//     stopped as soon as its cycles exceed the snake's, since
-//     snakeBeatsGrid can then only pick the snake. The winner's final
-//     state becomes st's and its recorded steps are replayed.
+//   - if it has not lost, the decision is the full dual's: when the snake
+//     leaves wanted edges behind the structured pattern wins whatever it
+//     does, so it runs on st itself; otherwise the structured pattern runs
+//     on a copy that stops once its cycles exceed the snake's, since
+//     snakeBeatsGrid can then only pick the snake;
+//   - if it has lost, the structured pattern runs under the Bound too.
+//     When both have lost, the one with the lower cost at its loss is
+//     replayed and the sink stops st at that step. When only the snake
+//     has lost it must be run out, unbounded, to apply snakeBeatsGrid:
+//     capped at the structured pattern's cycles when that pattern emptied
+//     the want set, as only a snake within them can win then.
 //
-// The choice depends only on the copies' runs, which the sink cannot
-// stop, so it is memoised even when the sink stops st.
-func gridDual(st *State, region arch.Region, ri *regionInfo, emit EmitFunc, c *PatternCache) {
-	var fp, occ, want uint64
-	if c != nil {
-		fp = st.A.Fingerprint()
-		occ, want = ri.stateHash(st)
-		if snake, ok := c.choiceGet(fp, region, occ, want); ok {
-			if snake {
-				snakeATA(st, region, emit, c)
-			} else {
-				gridATA(st, region, emit, c)
-			}
+// Replaying a lost candidate makes the sink stop st at the step where its
+// shadow lost, so a bounded dual emits a prefix of the full dual's winner
+// whenever the sink never stops, and otherwise a prefix of a candidate
+// whose cost has reached the bound.
+func gridDual(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
+	stS, rs := st.candidate(1, region, c, st.Bound, -1)
+	if !rs.lost {
+		if !stS.Want.Empty() {
+			gridATA(st, region, emit, c)
 			return
 		}
-	}
-	b := st.scratch()
-	rs, rg := &b.recs[1], &b.recs[0]
-	rs.reset(nil, 0)
-	stS := st.fork(1)
-	snakeATA(stS, region, rs.emit, c)
-	snake := false
-	if !stS.Want.Empty() {
-		gridATA(st, region, emit, c)
-	} else {
-		stG := st.fork(0)
-		rg.reset(stG, rs.c.Cycles)
-		gridATA(stG, region, rg.emit, c)
-		snake = stG.stopped || snakeBeatsGrid(stG, stS, rg.c, rs.c)
-		if snake {
+		stG, rg := st.candidate(0, region, c, nil, rs.c.Cycles)
+		if stG.stopped || snakeBeatsGrid(stG, stS, rg.c, rs.c) {
 			st.replay(stS, rs, emit)
 		} else {
 			st.replay(stG, rg, emit)
 		}
+		return
 	}
-	if c != nil {
-		c.choicePut(fp, region, occ, want, snake)
+	stG, rg := st.candidate(0, region, c, st.Bound, -1)
+	if rg.lost {
+		if rs.cost <= rg.cost {
+			st.replay(stS, rs, emit)
+		} else {
+			st.replay(stG, rg, emit)
+		}
+		return
 	}
+	maxCycles := -1
+	if stG.Want.Empty() {
+		maxCycles = rg.c.Cycles
+	}
+	stS, rs = st.candidate(1, region, c, nil, maxCycles)
+	if !stS.stopped && snakeBeatsGrid(stG, stS, rg.c, rs.c) {
+		st.replay(stS, rs, emit)
+	} else {
+		st.replay(stG, rg, emit)
+	}
+}
+
+// candidate runs one grid dual candidate, the structured pattern (k = 0)
+// or the snake (k = 1), on scratch copy k of st and records its steps in
+// recorder k. The copy stops once its cycles exceed maxCycles (< 0: never)
+// or, under a non-nil bound, once its shadow in slot k has lost.
+func (st *State) candidate(k int, region arch.Region, c *PatternCache, bound Bound, maxCycles int) (*State, *stepRecorder) {
+	f := st.fork(k)
+	r := &st.scr.recs[k]
+	r.reset(f, maxCycles, bound, k)
+	if k == 1 {
+		snakeATA(f, region, r.emit, c)
+	} else {
+		gridATA(f, region, r.emit, c)
+	}
+	return f, r
 }
 
 // replay takes over winner's final state and emits its recorded steps

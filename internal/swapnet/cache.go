@@ -10,20 +10,19 @@ import (
 )
 
 // PatternCache memoises the region-derived structures the ATA patterns
-// recompute on every invocation: normalised regions, the unit segments of a
-// region, the snake restriction to a region, and — for grids — which of the
-// two candidate patterns (unit-structured vs snake) wins for a given
-// (region, mapping, want) state. The hybrid compiler's prediction loop
-// evaluates many checkpoints over the same few active regions, and the
-// winning candidate is re-materialised after selection from the exact
-// state it was scored at, so these entries see real hits.
+// recompute on every invocation: the normalised region, its unit segments
+// and the snake restricted to it. Every entry is structural — it depends
+// only on the architecture and the region bounds, never on a mapping or a
+// want set — and the hybrid compiler's prediction loop evaluates many
+// checkpoints over the same few active regions, so the entries see real
+// hits. Its counters count these region lookups and nothing else.
 //
 // Entries are keyed by the architecture's structural fingerprint rather than
 // the *Arch pointer, so independently constructed but identical devices
 // (common in benchmarks) share them. The cache is safe for concurrent use:
 // it is sharded, each shard guarded by a mutex around a size-capped LRU.
 // Cached slices are read-only by contract — the patterns only ever read
-// them; the choice replay emits steps copied out of the pattern buffers.
+// them.
 type PatternCache struct {
 	shards   [pcShardCount]pcShard
 	shardCap [pcShardCount]int
@@ -36,9 +35,8 @@ type PatternCache struct {
 const (
 	pcShardCount = 16
 	// DefaultCacheCapacity bounds the total entry count of a PatternCache
-	// built with NewPatternCache(0). Structural entries are one per (arch,
-	// region) and tiny; choice entries are one per distinct prediction
-	// state. 4096 comfortably covers a large compilation while keeping the
+	// built with NewPatternCache(0). Entries are one per (arch, region) and
+	// small; 4096 comfortably covers a large compilation while keeping the
 	// worst-case footprint in the low megabytes.
 	DefaultCacheCapacity = 4096
 )
@@ -48,32 +46,23 @@ type pcShard struct {
 	lru lru.List[pcKey, any]
 }
 
-// pcKey identifies a cache entry. Structural entries (region-derived
-// geometry) leave occ/want zero; grid-choice entries add the state hash of
-// the occupants and wanted edges the patterns' behaviour depends on.
+// pcKey identifies a cache entry: the architecture's fingerprint and the
+// region as the caller passed it.
 type pcKey struct {
-	fp     uint64
-	r      arch.Region
-	choice bool
-	occ    uint64
-	want   uint64
+	fp uint64
+	r  arch.Region
 }
 
-// regionInfo is a structural entry: everything about a region that depends
+// regionInfo is a cache entry: everything about a region that depends
 // only on the architecture and region bounds, not on the mapping.
 type regionInfo struct {
 	norm arch.Region
 	// units are the region's unit segments (regionUnits of norm); nil for
 	// path-encoded regions.
 	units [][]int
-	// qubits flattens the region's physical qubits; inRegion marks them by
-	// physical id (len == a.N()).
-	qubits   []int
-	inRegion []bool
 	// snakeSeg is the architecture snake restricted to the region, and
 	// snakeOK whether that restriction is contiguous (snakeATA falls back
-	// to the full snake when it is not — which widens the state the grid
-	// pattern choice depends on, see stateHash).
+	// to the full snake when it is not).
 	snakeSeg []int
 	snakeOK  bool
 }
@@ -141,10 +130,6 @@ func (k pcKey) shard() uint64 {
 	if k.r.UsesPath {
 		h ^= 0xdead
 	}
-	if k.choice {
-		h ^= 0xbeef
-	}
-	h ^= k.occ ^ k.want
 	h ^= h >> 29
 	h *= 0x9e3779b97f4a7c15
 	h ^= h >> 32
@@ -195,26 +180,11 @@ func (c *PatternCache) structural(a *arch.Arch, r arch.Region) *regionInfo {
 
 func newRegionInfo(a *arch.Arch, r arch.Region) *regionInfo {
 	ri := &regionInfo{norm: NormalizeRegion(a, r)}
-	ri.inRegion = make([]bool, a.N())
-	if ri.norm.UsesPath || len(a.Units) == 0 {
-		i0, i1 := ri.norm.I0, ri.norm.I1
-		if i1 >= len(a.Path) {
-			i1 = len(a.Path) - 1
-		}
-		if i0 >= 0 && i0 <= i1 {
-			ri.qubits = a.Path[i0 : i1+1]
-		}
-	} else {
+	if !ri.norm.UsesPath && len(a.Units) > 0 {
 		ri.units = regionUnits(a, ri.norm)
-		for _, u := range ri.units {
-			ri.qubits = append(ri.qubits, u...)
+		if a.Snake != nil {
+			ri.snakeSeg, ri.snakeOK = restrictSnake(a, ri.norm)
 		}
-	}
-	for _, q := range ri.qubits {
-		ri.inRegion[q] = true
-	}
-	if a.Snake != nil && !ri.norm.UsesPath && len(a.Units) > 0 {
-		ri.snakeSeg, ri.snakeOK = restrictSnake(a, ri.norm)
 	}
 	return ri
 }
@@ -239,81 +209,12 @@ func restrictSnake(a *arch.Arch, region arch.Region) ([]int, bool) {
 	return seg, len(seg) >= 2
 }
 
-// NormalizeRegion is the memoised form of the package-level NormalizeRegion.
-func (c *PatternCache) NormalizeRegion(a *arch.Arch, r arch.Region) arch.Region {
-	return c.structural(a, r).norm
-}
-
-// stateHash digests the part of st the grid pattern choice depends on: the
-// occupants of the dependency qubits and the wanted edges among them. When
-// the snake restriction is contiguous both candidate patterns stay inside
-// the region, so only region-local state matters — plus one bit, whether
-// any wanted edge lies outside the region, because snakeBeatsGrid asks
-// whether a candidate left the whole want set empty. Otherwise snakeATA
-// falls back to the full snake and the whole mapping and want set
-// participate. The want digest XORs per-edge hashes, so it depends only
-// on which edges are wanted.
-func (ri *regionInfo) stateHash(st *State) (occ, want uint64) {
-	occ = fnvOffset
-	local := ri.snakeOK || st.A.Snake == nil
-	if local {
-		for _, q := range ri.qubits {
-			occ = fnvWord(fnvWord(occ, uint64(q)), uint64(st.P2L[q]))
-		}
-	} else {
-		for q, l := range st.P2L {
-			occ = fnvWord(fnvWord(occ, uint64(q)), uint64(l))
-		}
-	}
-	outside := false
-	st.Want.each(func(e graph.Edge) {
-		if local && (!ri.inRegion[st.L2P[e.U]] || !ri.inRegion[st.L2P[e.V]]) {
-			outside = true
-			return
-		}
-		want ^= fnvWord(fnvOffset, uint64(e.U)<<32|uint64(uint32(e.V)))
-	})
-	if outside {
-		occ = fnvWord(occ, ^uint64(0))
-	}
-	return occ, want
-}
-
-// FNV-1a (64-bit), fed one little-endian word at a time: the digest
-// hash/fnv's New64a computes over the same bytes, without the hasher.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvWord(h, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (w >> (8 * i)) & 0xff
-		h *= fnvPrime
-	}
-	return h
-}
-
-// choiceGet looks up a memoised grid pattern choice: whether the snake
-// won the dual prediction from the given state.
-func (c *PatternCache) choiceGet(fp uint64, r arch.Region, occ, want uint64) (snake, ok bool) {
-	v, ok := c.get(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want})
-	if !ok {
-		return false, false
-	}
-	return v.(bool), true
-}
-
-// choicePut stores a grid pattern choice.
-func (c *PatternCache) choicePut(fp uint64, r arch.Region, occ, want uint64, snake bool) {
-	c.put(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want}, snake)
-}
-
 // stepRecorder buffers emitted steps while counting them. Emitted slices
 // are valid only during the emit call (EmitFunc), so it copies each step
 // into flat arenas; the recorded steps stay valid for its lifetime. With
 // a stop State it stops that State once the counted cycles exceed
-// maxCycles.
+// maxCycles (if maxCycles >= 0) or once bound reports slot's shadow lost;
+// lost and cost then hold that loss and the shadow's cost at it.
 type stepRecorder struct {
 	steps     []Step
 	gates     []PhysGate
@@ -322,19 +223,35 @@ type stepRecorder struct {
 	c         Counter
 	stop      *State
 	maxCycles int
+	bound     Bound
+	slot      int
+	lost      bool
+	cost      float64
 }
 
-// reset empties the recorder and sets its cycle bound (stop may be nil).
-func (r *stepRecorder) reset(stop *State, maxCycles int) {
+// reset empties the recorder and sets its stopping rules (stop may be
+// nil, and bound may be nil), starting the bound's shadow for slot.
+func (r *stepRecorder) reset(stop *State, maxCycles int, bound Bound, slot int) {
 	r.steps, r.gates, r.edges, r.layers = r.steps[:0], r.gates[:0], r.edges[:0], r.layers[:0]
 	r.c = Counter{}
-	r.stop, r.maxCycles = stop, maxCycles
+	r.stop, r.maxCycles, r.bound, r.slot = stop, maxCycles, bound, slot
+	r.lost, r.cost = false, 0
+	if bound != nil {
+		bound.Reset(slot)
+	}
 }
 
 func (r *stepRecorder) emit(s Step) {
 	r.c.Emit(s)
-	if r.stop != nil && r.c.Cycles > r.maxCycles {
-		r.stop.Stop()
+	if r.stop != nil {
+		if r.maxCycles >= 0 && r.c.Cycles > r.maxCycles {
+			r.stop.Stop()
+		}
+		if r.bound != nil {
+			if r.cost, r.lost = r.bound.Add(r.slot, s); r.lost {
+				r.stop.Stop()
+			}
+		}
 	}
 	rec := Step{ParallelSwaps: s.ParallelSwaps}
 	if len(s.Compute) > 0 {

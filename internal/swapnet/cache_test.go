@@ -34,9 +34,8 @@ func randomRegion(rng *rand.Rand, a *arch.Arch) arch.Region {
 // TestCachedATAMatchesUncached is the cache's core correctness property:
 // for 200 random (arch, region, mapping, want) quadruples, ATAWithCache
 // emits exactly the step sequence of the uncached ATA and leaves the same
-// final mapping — on the cold pass (structural miss, dual-prediction
-// record/replay) and on the warm pass (choice hit, single pattern run)
-// alike.
+// final mapping — on the cold pass (region geometry computed) and on the
+// warm pass (region geometry from the cache) alike.
 func TestCachedATAMatchesUncached(t *testing.T) {
 	archs := cacheTestArchs()
 	rng := rand.New(rand.NewSource(7))
@@ -78,15 +77,15 @@ func TestCachedATAMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestCacheNormalizeRegionMatches pins the memoised NormalizeRegion against
-// the package-level function for random regions on every family.
+// TestCacheNormalizeRegionMatches pins the cached normalised region against
+// the package-level NormalizeRegion for random regions on every family.
 func TestCacheNormalizeRegionMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cache := NewPatternCache(0)
 	for _, a := range cacheTestArchs() {
 		for i := 0; i < 50; i++ {
 			r := randomRegion(rng, a)
-			if got, want := cache.NormalizeRegion(a, r), NormalizeRegion(a, r); got != want {
+			if got, want := cache.structural(a, r).norm, NormalizeRegion(a, r); got != want {
 				t.Fatalf("%s region %+v: cached %+v != direct %+v", a.Name, r, got, want)
 			}
 		}
@@ -96,8 +95,8 @@ func TestCacheNormalizeRegionMatches(t *testing.T) {
 // TestCacheConcurrentHits hammers one shared cache from 16 goroutines, each
 // replaying the same workload and checking every emission against an
 // uncached reference. Run under -race in CI, this is the witness that
-// concurrent get/put/structural/choice traffic is safe and never serves a
-// wrong entry.
+// concurrent get/put/structural traffic is safe and never serves a wrong
+// entry.
 func TestCacheConcurrentHits(t *testing.T) {
 	type workItem struct {
 		a       *arch.Arch

@@ -120,7 +120,7 @@ func TestEmitContract(t *testing.T) {
 // sink that stops the State after its k-th step receives exactly the
 // first k steps of the unstopped run, and a stopped State runs no further
 // pattern. Every family runs uncached and through a cache, including the
-// grid dual's replay and choice-hit paths.
+// grid dual's replay path.
 func TestStopEmitsPrefix(t *testing.T) {
 	families := []*arch.Arch{
 		arch.Line(12), arch.Grid(5, 5), arch.Sycamore(4, 4),

@@ -98,12 +98,16 @@ func (s *EdgeSet) Len() int { return s.live }
 // Empty reports whether no edges remain.
 func (s *EdgeSet) Empty() bool { return s.live == 0 }
 
-// each calls f on every member in ascending (U, V) order.
-func (s *EdgeSet) each(f func(graph.Edge)) {
+// Each calls f on every member in ascending (U, V) order.
+func (s *EdgeSet) Each(f func(graph.Edge)) {
+	u, row := 0, 0 // row is bit u*n, where u's row starts
 	for wi, w := range s.bits {
 		for w != 0 {
 			i := wi<<6 | bits.TrailingZeros64(w)
-			f(graph.Edge{U: i / s.n, V: i % s.n})
+			for i >= row+s.n {
+				u, row = u+1, row+s.n
+			}
+			f(graph.Edge{U: u, V: i - row})
 			w &= w - 1
 		}
 	}
@@ -123,7 +127,7 @@ func (s *EdgeSet) first() (graph.Edge, bool) {
 // Edges returns the remaining edges in ascending (U, V) order.
 func (s *EdgeSet) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, s.live)
-	s.each(func(e graph.Edge) { out = append(out, e) })
+	s.Each(func(e graph.Edge) { out = append(out, e) })
 	return out
 }
 
@@ -182,6 +186,20 @@ func (s Step) Depth() int {
 // advancing: the pattern then emits no further step and returns.
 type EmitFunc func(Step)
 
+// Bound prices a grid dual candidate while it runs on a scratch copy, so a
+// copy that has already lost can stop early. Slot k (0 for the structured
+// pattern, 1 for the snake) is a shadow of the sink's running totals:
+// Reset(k) starts it from the sink's current sums, and Add(k, s) folds
+// step s into it without counting it, returning the shadow's cost and
+// whether that cost has lost. Add must fold a step exactly as the sink
+// folds an emitted one, with the same additions in the same order, so that
+// replaying a copy's recorded steps stops the State at the very step where
+// its shadow lost.
+type Bound interface {
+	Reset(k int)
+	Add(k int, s Step) (cost float64, lost bool)
+}
+
 // State is the mutable execution state a pattern advances: the placement of
 // logical qubits and the remaining wanted edges.
 type State struct {
@@ -189,6 +207,9 @@ type State struct {
 	L2P  []int // logical -> physical
 	P2L  []int // physical -> logical; -1 for empty slots
 	Want *EdgeSet
+	// Bound, when set, cuts the grid dual's candidate runs (see gridDual);
+	// nil runs every candidate to its end.
+	Bound Bound
 
 	stopped bool     // set by Stop; see halted
 	scr     *scratch // pattern buffers; shared only with st's own forks
