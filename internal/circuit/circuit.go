@@ -100,14 +100,14 @@ func New(n int) *Circuit { return &Circuit{NQubits: n} }
 // Append adds gates, validating qubit indices.
 func (c *Circuit) Append(gs ...Gate) {
 	for _, g := range gs {
-		c.check(g)
+		c.Check(g)
 		c.Gates = append(c.Gates, g)
 	}
 }
 
-// check panics unless g's qubits lie in range and a two-qubit gate's
+// Check panics unless g's qubits lie in range and a two-qubit gate's
 // operands are distinct — the contract Append enforces.
-func (c *Circuit) check(g Gate) {
+func (c *Circuit) Check(g Gate) {
 	if g.Q0 < 0 || g.Q0 >= c.NQubits {
 		panic(fmt.Sprintf("circuit: qubit %d out of range", g.Q0))
 	}
@@ -221,8 +221,11 @@ func (c *Circuit) GateCount() map[Kind]int {
 //     immediately followed by a SWAP layer on the same pairs, Fig 6).
 //   - Every other gate is already in the basis and is returned as is.
 //
-// Expand does not validate qubit indices; the Circuit methods that stream
-// through it reject out-of-range gates the way Append does.
+// Every expanded gate acts only on g's operands, and the first one on all
+// of them, so checking the first (Circuit.Check) checks the whole
+// expansion. Expand does not validate qubit indices; the Circuit methods
+// that stream through it check each gate's first expanded gate, so they
+// reject an invalid gate with Append's message.
 func (g Gate) Expand(buf *[4]Gate) []Gate {
 	a, b := g.Q0, g.Q1
 	switch g.Kind {
@@ -255,8 +258,9 @@ func (g Gate) Expand(buf *[4]Gate) []Gate {
 func (c *Circuit) Decomposed(yield func(Gate) bool) {
 	var buf [4]Gate
 	for _, g := range c.Gates {
-		for _, e := range g.Expand(&buf) {
-			c.check(e)
+		exp := g.Expand(&buf)
+		c.Check(exp[0])
+		for _, e := range exp {
 			if !yield(e) {
 				return
 			}
@@ -327,8 +331,9 @@ func (c *Circuit) Summarize() Summary {
 		if g.Kind >= 0 && g.Kind <= GateZZSwap {
 			s.Counts[g.Kind]++
 		}
-		for _, e := range g.Expand(&buf) {
-			c.check(e)
+		exp := g.Expand(&buf)
+		c.Check(exp[0])
+		for _, e := range exp {
 			t := avail[e.Q0]
 			if e.Kind.TwoQubit() {
 				t = max(t, avail[e.Q1])

@@ -58,6 +58,58 @@ func TestExpandTemplates(t *testing.T) {
 	}
 }
 
+// TestExpandActsOnSourceOperands pins the premise of checking a gate's
+// operands once per source gate: for every kind, each gate Expand emits
+// acts only on the source gate's operands, and the first one acts on all
+// of them, so Check of the first accepts exactly when Check of the
+// source and of every expanded gate does.
+func TestExpandActsOnSourceOperands(t *testing.T) {
+	c := New(4)
+	for k := GateH; k <= GateZZSwap+1; k++ {
+		for _, ops := range [][2]int{{1, 2}, {2, 1}, {0, 3}, {1, 1}, {-1, 2}, {2, 4}, {4, -1}} {
+			src := Gate{Kind: k, Q0: ops[0], Q1: ops[1], Angle: 0.5}
+			if !k.TwoQubit() {
+				src.Q1 = -1
+			}
+			var buf [4]Gate
+			exp := src.Expand(&buf)
+			for i, e := range exp {
+				if e.Q0 != src.Q0 && e.Q0 != src.Q1 {
+					t.Fatalf("%v%v: expanded gate %d %v acts on qubit %d", k, ops, i, e.Kind, e.Q0)
+				}
+				if e.Kind.TwoQubit() && (!k.TwoQubit() || e.Q1 != src.Q0 && e.Q1 != src.Q1) {
+					t.Fatalf("%v%v: expanded gate %d %v acts on qubit %d", k, ops, i, e.Kind, e.Q1)
+				}
+			}
+			if first := exp[0]; k.TwoQubit() && (!first.Kind.TwoQubit() || pairOf(first) != pairOf(src)) {
+				t.Fatalf("%v%v: first expanded gate %+v does not act on both operands", k, ops, first)
+			}
+			firstOK := accepts(c, exp[0])
+			allOK := accepts(c, src)
+			for _, e := range exp {
+				allOK = allOK && accepts(c, e)
+			}
+			if firstOK != allOK {
+				t.Fatalf("%v%v: Check of the first expanded gate says %v, of the source and expansion %v", k, ops, firstOK, allOK)
+			}
+		}
+	}
+}
+
+// pairOf returns a two-qubit gate's operands as an unordered pair.
+func pairOf(g Gate) graph.Edge { return graph.NewEdge(g.Q0, g.Q1) }
+
+// accepts reports whether c.Check passes g.
+func accepts(c *Circuit, g Gate) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	c.Check(g)
+	return true
+}
+
 // randomCircuit draws a circuit over every gate kind.
 func randomCircuit(rng *rand.Rand, n, gates int) *Circuit {
 	c := New(n)

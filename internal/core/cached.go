@@ -133,12 +133,14 @@ func CompileCached(ctx context.Context, a *arch.Arch, problem *graph.Graph, opts
 	key := cachestore.ResultKey(a.Fingerprint(), hash, optionsDigest(a, &opts))
 
 	if payload, tier, ok := cache.store.Get(key); ok {
-		res, err := rehydrate(payload, perm, a, problem, opts)
+		res, err := rehydrate(payload, perm, a, problem, opts, rec)
 		if err == nil {
 			res.Stats.CacheTier = string(tier)
 			elapsed := rec.clock.Now().Sub(start)
 			res.Stats.Elapsed = elapsed
 			res.Metrics.CompileTime = elapsed
+			rec.tl.Winner = res.Source
+			res.Timeline = rec.tl
 			return res, nil
 		}
 		cache.corrupt.Add(1)
@@ -256,9 +258,10 @@ func toCanonicalRecord(res *Result, perm []int, n int) *cachestore.ResultRecord 
 // rehydrate decodes a canonical-frame record and translates it into the
 // requesting problem's frame through the inverse of its canonical
 // permutation, then runs the same error-severity verifier pass a fresh
-// compile must clear. Every field is bounds-checked first: the record is
-// untrusted input and must never panic the caller.
-func rehydrate(payload []byte, perm []int, a *arch.Arch, problem *graph.Graph, opts Options) (*Result, error) {
+// compile must clear, timed as r's verify phase. Every field is
+// bounds-checked first: the record is untrusted input and must never
+// panic the caller.
+func rehydrate(payload []byte, perm []int, a *arch.Arch, problem *graph.Graph, opts Options, r *recorder) (*Result, error) {
 	rec, gates, err := cachestore.DecodeResultGates(payload)
 	if err != nil {
 		return nil, err
@@ -314,7 +317,10 @@ func rehydrate(payload []byte, perm []int, a *arch.Arch, problem *graph.Graph, o
 		Source:  rec.Source,
 	}
 	res.Stats.SelectedPrefix = rec.SelectedPrefix
-	if err := checkResult(res, a, problem, &opts); err != nil {
+	vp := r.phase("verify")
+	err = checkResult(res, a, problem, &opts)
+	vp.end()
+	if err != nil {
 		return nil, fmt.Errorf("core: cached circuit failed verification: %w", err)
 	}
 	return res, nil

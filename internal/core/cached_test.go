@@ -625,3 +625,69 @@ func BenchmarkCachedHit(b *testing.B) {
 		}
 	}
 }
+
+// TestCachedHitAllocs pins the allocation count of one warm memory hit —
+// canonical form, lookup, decode, Measure and the strict verifier pass —
+// on a noiseless grid and on a heavy-hex with a noise model, where
+// Measure also builds the per-call coupler table. Each ceiling is the
+// count measured when it was last set.
+func TestCachedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation and pool semantics skew allocation counts")
+	}
+	hh := arch.HeavyHexN(64)
+	cases := []struct {
+		name    string
+		a       *arch.Arch
+		p       *graph.Graph
+		opts    Options
+		ceiling float64
+	}{
+		{"grid-36/er-0.5", arch.GridN(36), graph.GnpConnected(36, 0.5, rand.New(rand.NewSource(2))), Options{Workers: 1}, 58},
+		{"heavy-hex-64/er-0.3/noise", hh, graph.GnpConnected(64, 0.3, rand.New(rand.NewSource(6))),
+			Options{Workers: 1, Noise: noise.Synthetic(hh, 6)}, 67},
+	}
+	for _, c := range cases {
+		cache := NewCache(cachestore.NewTiered(nil, 0))
+		ctx := context.Background()
+		if _, err := CompileCached(ctx, c.a, c.p, c.opts, cache); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			res, err := CompileCached(ctx, c.a, c.p, c.opts, cache)
+			if err != nil || res.Stats.CacheTier != string(cachestore.TierMem) {
+				t.Fatalf("%s: not a memory hit (err %v)", c.name, err)
+			}
+		})
+		t.Logf("%s: %.1f allocations per hit", c.name, allocs)
+		if allocs > c.ceiling {
+			t.Fatalf("%s: one memory hit allocates %.1f objects, ceiling %.0f", c.name, allocs, c.ceiling)
+		}
+	}
+}
+
+// TestCachedHitTimesVerify: a hit's Timeline carries the verification of
+// the rehydrated circuit as its verify phase, and names the stored
+// result's source as the winner, as a fresh compile's Timeline does.
+func TestCachedHitTimesVerify(t *testing.T) {
+	cache := NewCache(cachestore.NewTiered(nil, 0))
+	a := arch.GridN(16)
+	p := graph.GnpConnected(16, 0.4, rand.New(rand.NewSource(4)))
+	ctx := context.Background()
+	if _, err := CompileCached(ctx, a, p, Options{Workers: 1}, cache); err != nil {
+		t.Fatal(err)
+	}
+	res, err := CompileCached(ctx, a, p, Options{Workers: 1}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CacheTier != string(cachestore.TierMem) {
+		t.Fatalf("answered from tier %q, want a memory hit", res.Stats.CacheTier)
+	}
+	if len(res.Timeline.Phases) != 1 || res.Timeline.Phases[0].Name != "verify" {
+		t.Fatalf("hit Timeline phases %+v, want one verify phase", res.Timeline.Phases)
+	}
+	if res.Timeline.Winner != res.Source {
+		t.Fatalf("hit Timeline winner %q, result source %q", res.Timeline.Winner, res.Source)
+	}
+}

@@ -141,29 +141,74 @@ func (g *Graph) Edges() []Edge {
 	return es
 }
 
-// EdgeIndex numbers a graph's edges by their position in Edges(). It is a
-// snapshot: adding edges to the graph afterwards invalidates it.
+// EdgeIndex numbers a graph's edges by their position in Edges() and
+// answers an edge's id in O(1): an open-addressed table with linear
+// probing, at least twice as many slots as edges, over the edges' packed
+// endpoints u<<32|v (u < v). Memory is O(N+M) whatever the graph. It is
+// a snapshot: adding edges to the graph afterwards invalidates it.
 type EdgeIndex struct {
-	sorted [][]int32
-	// base[u] plus v's position in sorted[u] is the id of edge (u,v), u<v.
-	base []int32
-	m    int
+	// slots holds id+1 of the edge in each slot, 0 when the slot is empty.
+	slots []int32
+	// keys[id] is edge id's packed endpoints.
+	keys  []uint64
+	shift uint // 64 - log2(len(slots)): a key's home slot is its hash's top bits
+	n     int
 }
 
-// EdgeIndex builds the edge numbering of g in O(N log Δ).
+// EdgeIndex builds the edge numbering of g in O(N log Δ + M).
 func (g *Graph) EdgeIndex() EdgeIndex {
-	base := make([]int32, g.n)
-	next := 0
+	x := newEdgeIndex(g.n, g.m)
 	for u := 0; u < g.n; u++ {
-		up := g.above(u)
-		base[u] = int32(next - (len(g.sorted[u]) - len(up)))
-		next += len(up)
+		for _, v := range g.above(u) {
+			x.insert(u, int(v))
+		}
 	}
-	return EdgeIndex{sorted: g.sorted, base: base, m: g.m}
+	return x
+}
+
+// IndexEdges numbers es, distinct edges of a graph on n vertices each in
+// canonical (U < V) form, by their position in es. It panics on an
+// out-of-range, non-canonical or repeated edge.
+func IndexEdges(n int, es []Edge) EdgeIndex {
+	x := newEdgeIndex(n, len(es))
+	for _, e := range es {
+		if e.U < 0 || e.U >= e.V || e.V >= n || e.V > math.MaxInt32 {
+			panic(fmt.Sprintf("graph: edge %v not canonical in [0,%d)", e, n))
+		}
+		x.insert(e.U, e.V)
+	}
+	return x
+}
+
+func newEdgeIndex(n, m int) EdgeIndex {
+	size, shift := 1, uint(64)
+	for size < 2*m {
+		size, shift = size<<1, shift-1
+	}
+	return EdgeIndex{slots: make([]int32, size), keys: make([]uint64, 0, m), shift: shift, n: n}
+}
+
+// home returns the first slot probed for key (Fibonacci hashing).
+func (x *EdgeIndex) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> x.shift)
+}
+
+// insert gives the edge (u, v), 0 <= u < v < n, the next id.
+func (x *EdgeIndex) insert(u, v int) {
+	key := uint64(u)<<32 | uint64(v)
+	mask := len(x.slots) - 1
+	i := x.home(key)
+	for ; x.slots[i] != 0; i = (i + 1) & mask {
+		if x.keys[x.slots[i]-1] == key {
+			panic(fmt.Sprintf("graph: edge (%d,%d) indexed twice", u, v))
+		}
+	}
+	x.keys = append(x.keys, key)
+	x.slots[i] = int32(len(x.keys))
 }
 
 // M returns the number of indexed edges; ids are 0..M-1.
-func (x *EdgeIndex) M() int { return x.m }
+func (x *EdgeIndex) M() int { return len(x.keys) }
 
 // ID returns the id of edge {u, v}, or -1 if it is not an edge (including
 // out-of-range vertices and self-loops).
@@ -171,14 +216,17 @@ func (x *EdgeIndex) ID(u, v int) int {
 	if u > v {
 		u, v = v, u
 	}
-	if u < 0 || v >= len(x.sorted) || u == v {
+	if u < 0 || v >= x.n || u == v {
 		return -1
 	}
-	i, found := slices.BinarySearch(x.sorted[u], int32(v))
-	if !found {
-		return -1
+	key := uint64(u)<<32 | uint64(v)
+	mask := len(x.slots) - 1
+	for i := x.home(key); x.slots[i] != 0; i = (i + 1) & mask {
+		if id := x.slots[i] - 1; x.keys[id] == key {
+			return int(id)
+		}
 	}
-	return int(x.base[u]) + i
+	return -1
 }
 
 // Clone returns a deep copy of g with identical neighbour order.

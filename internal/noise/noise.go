@@ -127,23 +127,58 @@ func (m *Model) LogFidelity(c *circuit.Circuit) float64 {
 }
 
 // LogFidelityAt is LogFidelity for a circuit whose decomposed depth is
-// already known and whose gates are valid (as DecomposedDepth checks). It
-// adds the same terms in the same order, expanding each gate into a stack
-// buffer (see circuit.Gate.Expand) instead of streaming through a callback.
+// already known. It adds the same terms in the same order, expanding each
+// gate into a stack buffer (see circuit.Gate.Expand) instead of streaming
+// through a callback, and reads each term from a table built once per
+// call: log1p(-e) for every coupler of the model and every qubit. Every
+// expanded gate acts on its source gate's operands, so it checks them
+// and looks their coupler up once per source gate; a gate that Append
+// would reject panics with Append's message.
 func (m *Model) LogFidelityAt(c *circuit.Circuit, depth int) float64 {
+	couplers, cxTerm := m.couplerTerms(c.NQubits)
+	oneQ := make([]float64, len(m.SingleQubit))
+	for q, e := range m.SingleQubit {
+		oneQ[q] = math.Log1p(-e)
+	}
 	lf := 0.0
 	var buf [4]circuit.Gate
 	for _, g := range c.Gates {
-		for _, e := range g.Expand(&buf) {
+		exp := g.Expand(&buf)
+		c.Check(exp[0])
+		// A coupler the model lacks has error 0, whose term adds nothing.
+		cx := 0.0
+		if g.Kind.TwoQubit() {
+			if id := couplers.ID(g.Q0, g.Q1); id >= 0 {
+				cx = cxTerm[id]
+			}
+		}
+		for _, e := range exp {
 			if e.Kind == circuit.GateCNOT {
-				lf += math.Log1p(-m.EdgeError(e.Q0, e.Q1))
+				lf += cx
 			} else {
-				lf += math.Log1p(-m.SingleQubit[e.Q0])
+				lf += oneQ[e.Q0]
 			}
 		}
 	}
 	lf += -m.IdlePerCycle * float64(depth) * float64(activeQubits(c))
 	return lf
+}
+
+// couplerTerms indexes the model's couplers between qubits 0..n-1 and
+// returns log1p(-e) of each, by id. Keys outside that range or not in
+// canonical form are never read (EdgeError canonicalizes), so they are
+// left out.
+func (m *Model) couplerTerms(n int) (graph.EdgeIndex, []float64) {
+	es := make([]graph.Edge, 0, len(m.TwoQubit))
+	terms := make([]float64, 0, len(m.TwoQubit))
+	//vet:ignore maprange the order only numbers the ids; each coupler's term sits at its own id
+	for e, err := range m.TwoQubit {
+		if e.U >= 0 && e.U < e.V && e.V < n {
+			es = append(es, e)
+			terms = append(terms, math.Log1p(-err))
+		}
+	}
+	return graph.IndexEdges(n, es), terms
 }
 
 // Fidelity is exp(LogFidelity), the estimated success probability (ESP).

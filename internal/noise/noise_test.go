@@ -1,7 +1,10 @@
 package noise
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
@@ -147,4 +150,72 @@ func TestLogFidelityMatchesMaterialised(t *testing.T) {
 	if got := m.LogFidelity(c); got != want {
 		t.Fatalf("LogFidelity %v, materialised %v", got, want)
 	}
+}
+
+// mapLogFidelity is the LogFidelityAt the per-call coupler table
+// replaced, kept as the oracle: one map lookup and one log1p per
+// expanded gate.
+func mapLogFidelity(m *Model, c *circuit.Circuit, depth int) float64 {
+	lf := 0.0
+	c.Decomposed(func(e circuit.Gate) bool {
+		if e.Kind == circuit.GateCNOT {
+			lf += math.Log1p(-m.EdgeError(e.Q0, e.Q1))
+		} else {
+			lf += math.Log1p(-m.SingleQubit[e.Q0])
+		}
+		return true
+	})
+	return lf - m.IdlePerCycle*float64(depth)*float64(activeQubits(c))
+}
+
+// TestLogFidelityTableMatchesMap: the table-based LogFidelityAt is
+// bit-equal to the map-plus-log1p oracle on random circuits whose
+// two-qubit gates also land on uncoupled pairs, under a full synthetic
+// model and under one whose map lacks some couplers and holds entries
+// no lookup reads: pairs outside the circuit, negative, reversed and
+// self-loop keys, and an error rate of 1.
+func TestLogFidelityTableMatchesMap(t *testing.T) {
+	a := arch.Grid(4, 4)
+	sparse := Synthetic(a, 12)
+	for i, e := range a.G.Edges() {
+		if i%3 == 0 {
+			delete(sparse.TwoQubit, e)
+		}
+	}
+	for _, e := range []graph.Edge{{U: 3, V: 40}, {U: -1, V: 2}, {U: 9, V: 5}, {U: 7, V: 7}, {U: 16, V: 17}} {
+		sparse.TwoQubit[e] = 0.5
+	}
+	sparse.TwoQubit[graph.NewEdge(0, 5)] = 1
+	rng := rand.New(rand.NewSource(3))
+	for mi, m := range []*Model{Synthetic(a, 11), sparse} {
+		for trial := 0; trial < 60; trial++ {
+			c := circuit.New(a.N())
+			for i := rng.Intn(150); i > 0; i-- {
+				k := circuit.Kind(rng.Intn(int(circuit.GateZZSwap) + 1))
+				g := circuit.Gate{Kind: k, Q0: rng.Intn(a.N()), Q1: -1, Angle: rng.Float64()}
+				if k.TwoQubit() {
+					g.Q1 = (g.Q0 + 1 + rng.Intn(a.N()-1)) % a.N()
+				}
+				c.Append(g)
+			}
+			depth := c.DecomposedDepth()
+			got, want := m.LogFidelityAt(c, depth), mapLogFidelity(m, c, depth)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("model %d trial %d: LogFidelityAt %v, map oracle %v", mi, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestLogFidelityRejectsInvalidGate: LogFidelityAt checks each source
+// gate's operands and refuses an invalid one with Append's message.
+func TestLogFidelityRejectsInvalidGate(t *testing.T) {
+	m := Uniform(arch.Line(6), 1e-2, 1e-4, 1e-2, 1e-5)
+	c := &circuit.Circuit{NQubits: 2, Gates: []circuit.Gate{circuit.NewSwap(0, 1), circuit.NewZZ(0, 5, 0.3, graph.NewEdge(0, 1))}}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "circuit: invalid 2q gate cx on (0,5)") {
+			t.Fatalf("out-of-range gate: recovered %v, want Append's panic", r)
+		}
+	}()
+	m.LogFidelityAt(c, 6)
 }

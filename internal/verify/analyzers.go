@@ -134,6 +134,10 @@ func runArchConformance(p *Pass) []Diagnostic {
 		out = append(out, report(ArchConformance, -1,
 			"circuit spans %d qubits but architecture %s has %d", c.NQubits, p.Arch.Name, p.Arch.N()))
 	}
+	var couplers *graph.EdgeIndex
+	if p.Arch != nil {
+		couplers = p.couplers.get(p.Arch.G)
+	}
 	for i, g := range c.Gates {
 		if g.Q0 < 0 || g.Q0 >= c.NQubits {
 			out = append(out, report(ArchConformance, i, "%v qubit %d out of range [0,%d)", g.Kind, g.Q0, c.NQubits))
@@ -150,7 +154,7 @@ func runArchConformance(p *Pass) []Diagnostic {
 			out = append(out, report(ArchConformance, i, "%v is a self-loop on qubit %d", g.Kind, g.Q0))
 			continue
 		}
-		if p.Arch != nil && !p.Arch.G.HasEdge(g.Q0, g.Q1) {
+		if couplers != nil && couplers.ID(g.Q0, g.Q1) < 0 {
 			out = append(out, report(ArchConformance, i,
 				"%v on (%d,%d): not a coupling edge of %s", g.Kind, g.Q0, g.Q1, p.Arch.Name))
 		}
@@ -243,7 +247,11 @@ func runCoverage(p *Pass) []Diagnostic {
 	var out []Diagnostic
 	ix := p.edgeIndex()
 	done := make([]int32, ix.M())
+	nq := p.Circuit.NQubits
 	for i, g := range p.Circuit.Gates {
+		if g.Kind.TwoQubit() && (g.Q0 < 0 || g.Q0 >= nq || g.Q1 < 0 || g.Q1 >= nq || g.Q0 == g.Q1) {
+			continue // arch-conformance owns malformed indices
+		}
 		switch g.Kind {
 		case circuit.GateZZ, circuit.GateZZSwap:
 			l0, l1 := p2l[g.Q0], p2l[g.Q1]
@@ -280,25 +288,32 @@ func runDepthConsistency(p *Pass) []Diagnostic {
 	if !p.CheckDepth {
 		return nil
 	}
-	// Independent ASAP recomputation over the decomposed gate stream: a
-	// gate starts one past the latest finish time among its operands.
-	finish := make([]int, p.Circuit.NQubits)
+	// Independent ASAP recomputation over the CX-basis expansion: a gate
+	// starts one past the latest finish time among its operands. Checking
+	// each source gate's first expanded gate checks its whole expansion
+	// (see circuit.Gate.Expand).
+	c := p.Circuit
+	finish := make([]int, c.NQubits)
 	depth := 0
-	p.Circuit.Decomposed(func(g circuit.Gate) bool {
-		start := finish[g.Q0]
-		if g.Kind.TwoQubit() && finish[g.Q1] > start {
-			start = finish[g.Q1]
+	var buf [4]circuit.Gate
+	for _, g := range c.Gates {
+		exp := g.Expand(&buf)
+		c.Check(exp[0])
+		for _, e := range exp {
+			start := finish[e.Q0]
+			if e.Kind.TwoQubit() && finish[e.Q1] > start {
+				start = finish[e.Q1]
+			}
+			end := start + 1
+			finish[e.Q0] = end
+			if e.Kind.TwoQubit() {
+				finish[e.Q1] = end
+			}
+			if end > depth {
+				depth = end
+			}
 		}
-		end := start + 1
-		finish[g.Q0] = end
-		if g.Kind.TwoQubit() {
-			finish[g.Q1] = end
-		}
-		if end > depth {
-			depth = end
-		}
-		return true
-	})
+	}
 	if depth != p.ReportedDepth {
 		return []Diagnostic{report(DepthConsistency, -1,
 			"scheduler reports depth %d but recomputed ASAP depth is %d", p.ReportedDepth, depth)}

@@ -86,8 +86,8 @@ func (d Diagnostic) String() string {
 // context the analyzers check it against. Circuit is required; every other
 // field widens the set of invariants that can be checked (analyzers skip
 // silently when their inputs are absent). Analyzers cache the problem's
-// edge index in the pass, so one Pass must not be run from two goroutines
-// at once.
+// and the coupling graph's edge indexes in the pass, so one Pass must not
+// be run from two goroutines at once.
 type Pass struct {
 	// Circuit is the compiled circuit under analysis.
 	Circuit *circuit.Circuit
@@ -112,20 +112,29 @@ type Pass struct {
 	// one shared non-zero angle instead of a specific value.
 	Angle float64
 
-	// edges numbers Problem's edges for the analyzers that count terms
-	// per edge; built on first use, rebuilt if Problem changes.
-	edges   graph.EdgeIndex
-	indexed *graph.Graph
+	// problem and couplers number the edges of Problem and of Arch's
+	// coupling graph, for the analyzers that look edges up by pair; each
+	// is built on first use and rebuilt if its graph changes.
+	problem, couplers indexCache
 }
 
-// edgeIndex returns the edge numbering of p.Problem. Graphs only grow,
-// so an unchanged edge count means the cached index is current.
-func (p *Pass) edgeIndex() *graph.EdgeIndex {
-	if p.indexed != p.Problem || p.edges.M() != p.Problem.M() {
-		p.edges, p.indexed = p.Problem.EdgeIndex(), p.Problem
-	}
-	return &p.edges
+// indexCache holds one graph's EdgeIndex.
+type indexCache struct {
+	ix graph.EdgeIndex
+	of *graph.Graph
 }
+
+// get returns the edge numbering of g. Graphs only grow, so an unchanged
+// edge count means the cached index is current.
+func (c *indexCache) get(g *graph.Graph) *graph.EdgeIndex {
+	if c.of != g || c.ix.M() != g.M() {
+		c.ix, c.of = g.EdgeIndex(), g
+	}
+	return &c.ix
+}
+
+// edgeIndex returns the edge numbering of p.Problem.
+func (p *Pass) edgeIndex() *graph.EdgeIndex { return p.problem.get(p.Problem) }
 
 // Analyzer is one named static check, go/analysis style.
 type Analyzer struct {
