@@ -1,6 +1,7 @@
-// Command ataqc-bench load-tests a running ataqcd daemon: it sweeps a list
-// of target request rates, drives each level with a fleet of concurrent
-// clients (internal/loadgen), optionally weaves hostile-client chaos
+// Command ataqc-bench load-tests a running ataqcd daemon: it sweeps the
+// load levels of a JSON workload spec (-workload, see examples/workloads),
+// drives each level with a fleet of concurrent clients (internal/loadgen)
+// sampling the spec's problem mix, optionally weaves hostile-client chaos
 // scenarios (internal/faultinject network faults) into the stream, and
 // writes a BENCH_service.json report with per-level p50/p90/p99 latency and
 // shed/degrade counts.
@@ -12,8 +13,8 @@
 // Example:
 //
 //	ataqcd -addr 127.0.0.1:8080 -chaos &
-//	ataqc-bench -url http://127.0.0.1:8080 -rps 20,60,120 -clients 8 \
-//	    -duration 10s -chaos-fraction 0.15 -out BENCH_service.json
+//	ataqc-bench -url http://127.0.0.1:8080 \
+//	    -workload examples/workloads/mixed-chaos.json -out BENCH_service.json
 package main
 
 import (
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -33,8 +33,7 @@ import (
 // benchReport is the BENCH_service.json schema (see EXPERIMENTS.md).
 type benchReport struct {
 	URL string `json:"url"`
-	// Workload names the spec file's workload when -workload drove the
-	// run; absent for flag-driven sweeps.
+	// Workload and Seed are the spec's name and seed.
 	Workload string            `json:"workload,omitempty"`
 	Seed     int64             `json:"seed"`
 	Levels   []*loadgen.Report `json:"levels"`
@@ -58,52 +57,32 @@ type metricsSection struct {
 func main() {
 	var (
 		url      = flag.String("url", "http://127.0.0.1:8080", "daemon base URL")
-		rpsList  = flag.String("rps", "20,60,120", "comma-separated target request rates, one load level each (0 = closed loop)")
-		clients  = flag.Int("clients", 8, "concurrent clients per level")
-		duration = flag.Duration("duration", 10*time.Second, "duration per level")
-		chaos    = flag.Float64("chaos-fraction", 0, "fraction of slots given to hostile-client scenarios")
-		seed     = flag.Int64("seed", 1, "workload and jitter seed")
 		out      = flag.String("out", "", "write the JSON report here ('' = stdout)")
 		maxP99   = flag.Float64("max-p99-ms", 0, "fail when any level's p99 exceeds this many ms (0 = no gate)")
 		scrape   = flag.Duration("scrape-interval", 0, "scrape the daemon's metricsz at this interval during the run and embed the final scrape in the report (0 = off)")
-		workload = flag.String("workload", "", "YAML workload spec (see examples/workloads/); its levels and problem mix replace -rps/-clients/-duration/-chaos-fraction/-seed")
+		workload = flag.String("workload", "", "JSON workload spec: the load levels and problem mix to run (required; see examples/workloads/)")
 	)
 	flag.Parse()
-	if err := run(*url, *rpsList, *clients, *duration, *chaos, *seed, *out, *maxP99, *scrape, *workload); err != nil {
+	if *workload == "" {
+		fmt.Fprintln(os.Stderr, "ataqc-bench: -workload is required")
+		os.Exit(2)
+	}
+	if err := run(*url, *out, *maxP99, *scrape, *workload); err != nil {
 		fmt.Fprintf(os.Stderr, "ataqc-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(url, rpsList string, clients int, duration time.Duration, chaos float64, seed int64, out string, maxP99 float64, scrapeEvery time.Duration, workload string) error {
-	rep := &benchReport{URL: url, Seed: seed}
-	var levels []loadgen.Config
-	if workload != "" {
-		spec, err := loadgen.LoadWorkload(workload)
-		if err != nil {
-			return err
-		}
-		if levels, err = spec.Configs(url); err != nil {
-			return err
-		}
-		rep.Workload = spec.Name
-		rep.Seed = spec.Seed
-	} else {
-		rates, err := parseRates(rpsList)
-		if err != nil {
-			return err
-		}
-		for i, rps := range rates {
-			levels = append(levels, loadgen.Config{
-				URL:           url,
-				Clients:       clients,
-				RPS:           rps,
-				Duration:      duration,
-				ChaosFraction: chaos,
-				Seed:          seed + int64(i)*104729,
-			})
-		}
+func run(url, out string, maxP99 float64, scrapeEvery time.Duration, workload string) error {
+	spec, err := loadgen.LoadWorkload(workload)
+	if err != nil {
+		return err
 	}
+	levels, err := spec.Configs(url)
+	if err != nil {
+		return err
+	}
+	rep := &benchReport{URL: url, Workload: spec.Name, Seed: spec.Seed}
 	if err := ping(url); err != nil {
 		return fmt.Errorf("daemon not reachable before the run: %w", err)
 	}
@@ -160,25 +139,6 @@ func gate(rep *benchReport, maxP99 float64) error {
 		}
 	}
 	return nil
-}
-
-func parseRates(s string) ([]float64, error) {
-	var rates []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r < 0 {
-			return nil, fmt.Errorf("bad rps %q", part)
-		}
-		rates = append(rates, r)
-	}
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("no load levels in %q", s)
-	}
-	return rates, nil
 }
 
 func ping(url string) error {

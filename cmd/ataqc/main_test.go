@@ -170,7 +170,7 @@ func checkProfile(t *testing.T, path string) {
 // the disk tier.
 func TestWarmSweepPopulatesCache(t *testing.T) {
 	dir := t.TempDir()
-	if err := warmCache(io.Discard, dir, 0, "../../examples/workloads/repeat-heavy.yaml"); err != nil {
+	if err := warmCache(io.Discard, dir, 0, "../../examples/workloads/repeat-heavy.json"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
@@ -199,19 +199,19 @@ func TestWarmSweepPopulatesCache(t *testing.T) {
 // not silent no-ops.
 func TestWarmRejectsBadInputs(t *testing.T) {
 	dir := t.TempDir()
-	if err := warmCache(io.Discard, dir, 0, filepath.Join(dir, "absent.yaml")); err == nil {
+	if err := warmCache(io.Discard, dir, 0, filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("missing workload file accepted")
 	}
 	notDir := filepath.Join(dir, "file")
 	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := warmCache(io.Discard, filepath.Join(notDir, "cache"), 0, "../../examples/workloads/repeat-heavy.yaml"); err == nil {
+	if err := warmCache(io.Discard, filepath.Join(notDir, "cache"), 0, "../../examples/workloads/repeat-heavy.json"); err == nil {
 		t.Fatal("cache directory under a regular file accepted")
 	}
 
-	spec := filepath.Join(t.TempDir(), "torus.yaml")
-	body := "name: torus\nlevels:\n  - rps: 1\n    duration: 1s\n    clients: 1\nmix:\n  - arch: torus\n    n: 8\n    density: 0.5\n    seed: 1\n"
+	spec := filepath.Join(t.TempDir(), "torus.json")
+	body := `{"name":"torus","levels":[{"rps":1,"duration":"1s","clients":1}],"mix":[{"arch":"torus","n":8,"density":0.5,"seed":1}]}`
 	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}

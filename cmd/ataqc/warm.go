@@ -5,12 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/cachestore"
 	"github.com/ata-pattern/ataqc/internal/core"
-	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/loadgen"
 )
 
@@ -24,7 +22,7 @@ import (
 // of the architecture and region bounds, so each process derives it on
 // first use: decoding a stored copy costs as much as computing it.
 //
-//	ataqc warm -cache-dir /var/cache/ataqc -workload examples/workloads/repeat-heavy.yaml
+//	ataqc warm -cache-dir /var/cache/ataqc -workload examples/workloads/repeat-heavy.json
 //	ataqcd -cache-dir /var/cache/ataqc
 func runWarm(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ataqc warm", flag.ContinueOnError)
@@ -81,8 +79,7 @@ func warmWorkload(cache *core.Cache, path string) (int, error) {
 		if err != nil {
 			return compiled, fmt.Errorf("mix entry %s/%d: %w", m.Arch, m.N, err)
 		}
-		prob := graph.GnpConnected(m.N, m.Density, rand.New(rand.NewSource(m.Seed)))
-		res, err := core.CompileCached(context.Background(), a, prob, core.Options{Workers: 1}, cache)
+		res, err := core.CompileCached(context.Background(), a, m.Problem(), core.Options{Workers: 1}, cache)
 		if err != nil {
 			return compiled, fmt.Errorf("mix entry %s/%d: %w", m.Arch, m.N, err)
 		}

@@ -174,12 +174,6 @@ type Stats struct {
 	// the mode ran no selector. It identifies the selected checkpoint, so
 	// determinism tests can pin the selection, not just the output bytes.
 	SelectedPrefix int
-	// CacheHits/CacheMisses count this compilation's pattern-cache lookups
-	// of region geometry, the only entries the cache holds (deltas, so a
-	// shared Options.PatternCache does not bleed other compiles' counters
-	// in). Only ModeHybrid compiles report them.
-	CacheHits   int64
-	CacheMisses int64
 	// CacheTier reports which compilation-cache tier served this result
 	// ("mem" or "disk"); empty for a fresh compile or when no compilation
 	// cache was consulted. Only CompileCached sets it.

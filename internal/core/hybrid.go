@@ -90,10 +90,6 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		best    *checkpoint
 		dreason DegradeReason
 	)
-	// cs0 snapshots the counters so a cache shared across compiles reports
-	// per-compile deltas.
-	cache := opts.PatternCache
-	cs0 := cache.Stats()
 	pph := rec.phase("predict")
 	obs.PhaseLabel(bud.ctx, "predict", func(context.Context) {
 		best, dreason, err = h.predict(cps, &stats, pph.span)
@@ -104,7 +100,6 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 	}
 
 	if best == nil {
-		finishCacheStats(&stats, cache, cs0, rec)
 		return &Result{Circuit: g.Circuit, Initial: g.Initial, Final: g.Final, Source: "greedy",
 			Degraded: !dreason.IsZero(), DegradeReason: dreason, Stats: stats}, nil
 	}
@@ -125,13 +120,12 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		want := swapnet.NewEdgeSet(problem)
 		removeScheduled(want, h.gates[:best.prefixLen])
 		st := swapnet.NewStateFromMapping(a, best.l2p, want)
-		mErr = runATARegions(st, b, opts.Angle, cache, rec.tr, mph.span)
+		mErr = runATARegions(st, b, opts.Angle, opts.PatternCache, rec.tr, mph.span)
 	})
 	mph.end()
 	if mErr != nil {
 		return nil, mErr
 	}
-	finishCacheStats(&stats, cache, cs0, rec)
 	source := "ata"
 	if best.prefixLen > 0 {
 		source = "hybrid"
@@ -337,18 +331,6 @@ feed:
 		dreason = degradeReasonFor("best-so-far", firstErr, len(h.rec.tl.Checkpoints), len(cps), h.bud, h.opts, h.rec)
 	}
 	return best, dreason, nil
-}
-
-// finishCacheStats copies this compile's pattern-cache counter deltas
-// (relative to the cs0 snapshot taken when the compile began) onto the
-// stats and into the trace's metrics registry.
-func finishCacheStats(stats *Stats, c *swapnet.PatternCache, cs0 swapnet.CacheStats, rec *recorder) {
-	cs := c.Stats()
-	stats.CacheHits, stats.CacheMisses = cs.Hits-cs0.Hits, cs.Misses-cs0.Misses
-	met := rec.tr.Metrics()
-	met.Counter("cache.hits").Add(stats.CacheHits)
-	met.Counter("cache.misses").Add(stats.CacheMisses)
-	met.Counter("cache.evictions").Add(cs.Evictions - cs0.Evictions)
 }
 
 // removeScheduled removes from want the program edges the given greedy

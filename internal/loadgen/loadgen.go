@@ -1,9 +1,10 @@
 // Package loadgen drives a running ataqcd daemon with configurable load:
-// a fleet of concurrent clients at a target aggregate request rate, a
-// deterministic mix of compile problems, client-side retry with jittered
-// exponential backoff on 429/503, and an optional chaos arm that weaves the
-// internal/faultinject network faults (truncated bodies, header stalls,
-// malformed payloads, mid-request cancellations) into the request stream.
+// a fleet of concurrent clients at a target aggregate request rate, the
+// compile problems of a JSON workload spec (WorkloadSpec), client-side
+// retry with jittered exponential backoff on 429/503, and an optional
+// chaos arm that weaves the internal/faultinject network faults
+// (truncated bodies, header stalls, malformed payloads, mid-request
+// cancellations) into the request stream.
 //
 // Latency is recorded in internal/obs log-bucket histograms; Report
 // extracts p50/p90/p99 by interpolating within buckets. cmd/ataqc-bench is
@@ -13,6 +14,7 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,10 +24,8 @@ import (
 	"sync"
 	"time"
 
-	ataqc "github.com/ata-pattern/ataqc"
 	"github.com/ata-pattern/ataqc/internal/faultinject"
 	"github.com/ata-pattern/ataqc/internal/obs"
-	"github.com/ata-pattern/ataqc/internal/serve"
 	"github.com/ata-pattern/ataqc/internal/telemetry"
 )
 
@@ -43,21 +43,25 @@ type Config struct {
 	// ChaosFraction is the probability that a slot becomes a hostile-client
 	// scenario (faultinject.NetworkFaults) instead of a compile.
 	ChaosFraction float64
-	// Seed makes the problem mix, chaos schedule, and backoff jitter
+	// Seed makes the body sampling, chaos schedule, and backoff jitter
 	// reproducible.
 	Seed int64
-	// MaxRetries bounds the 429/503 retry loop per request (default 3).
-	MaxRetries int
-	// BaseBackoff is the first retry delay, doubled per attempt with
-	// +-50% jitter (default 50ms).
-	BaseBackoff time.Duration
-	// Timeout caps one HTTP exchange (default 60s).
-	Timeout time.Duration
-	// Bodies, when non-empty, replaces the built-in problem mix: each
-	// request samples one uniformly. WorkloadSpec.Configs builds these
-	// from a declarative spec file.
+	// Bodies are the compile-request bodies; each request samples one
+	// uniformly. WorkloadSpec.Configs builds them from a spec file, and
+	// Run refuses a level without them.
 	Bodies []string
 }
+
+// The client's retry and timeout policy.
+const (
+	// maxRetries bounds the 429/503 retry loop per request.
+	maxRetries = 3
+	// baseBackoff is the first retry delay, doubled per attempt with
+	// +-50% jitter.
+	baseBackoff = 50 * time.Millisecond
+	// exchangeTimeout caps one HTTP exchange.
+	exchangeTimeout = 60 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Clients <= 0 {
@@ -65,15 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 50 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 60 * time.Second
 	}
 	return c
 }
@@ -130,14 +125,10 @@ type Report struct {
 
 // Run drives one load level and reports it. The context aborts early.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	bodies := cfg.Bodies
-	if len(bodies) == 0 {
-		var err error
-		if bodies, err = problemMix(); err != nil {
-			return nil, err
-		}
+	if len(cfg.Bodies) == 0 {
+		return nil, errors.New("loadgen: no request bodies to send")
 	}
+	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
@@ -147,7 +138,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		violatedMu sync.Mutex
 		violated   = map[string]bool{}
 	)
-	client := &http.Client{Timeout: cfg.Timeout}
+	client := &http.Client{Timeout: exchangeTimeout}
 	faults := faultinject.NetworkFaults()
 	start := time.Now()
 	for i := 0; i < cfg.Clients; i++ {
@@ -187,8 +178,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					}
 					continue
 				}
-				body := bodies[rng.Intn(len(bodies))]
-				doRequest(ctx, client, cfg, rng, reg, body)
+				body := cfg.Bodies[rng.Intn(len(cfg.Bodies))]
+				doRequest(ctx, client, cfg.URL, rng, reg, body)
 			}
 		}(i)
 	}
@@ -207,12 +198,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // doRequest sends one compile body, retrying 429/503 with jittered
 // exponential backoff, and records the final outcome.
-func doRequest(ctx context.Context, client *http.Client, cfg Config, rng *rand.Rand, reg *obs.Registry, body string) {
+func doRequest(ctx context.Context, client *http.Client, url string, rng *rand.Rand, reg *obs.Registry, body string) {
 	reg.Counter("sent").Add(1)
-	backoff := cfg.BaseBackoff
+	backoff := baseBackoff
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		status, degraded, traceOK, err := postOnce(ctx, client, cfg.URL, body)
+		status, degraded, traceOK, err := postOnce(ctx, client, url, body)
 		elapsed := time.Since(start)
 		if err == nil && !traceOK {
 			reg.Counter("trace.violations").Add(1)
@@ -233,7 +224,7 @@ func doRequest(ctx context.Context, client *http.Client, cfg Config, rng *rand.R
 			reg.Gauge("latency_max_us").Set(elapsed.Microseconds()) // Max tracks the high-water mark
 			return
 		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-			if attempt >= cfg.MaxRetries {
+			if attempt >= maxRetries {
 				reg.Counter("shed").Add(1)
 				return
 			}
@@ -281,35 +272,6 @@ func postOnce(ctx context.Context, client *http.Client, url, body string) (int, 
 	}
 	_ = json.NewDecoder(resp.Body).Decode(&m)
 	return resp.StatusCode, m.Degraded, traceOK, nil
-}
-
-// problemMix builds the deterministic compile-request mix: small, medium,
-// and large problems across two architectures, so one level exercises both
-// fast and slow compiles.
-func problemMix() ([]string, error) {
-	specs := []struct {
-		arch    string
-		n       int
-		density float64
-		seed    int64
-	}{
-		{"grid", 9, 0.5, 1},
-		{"grid", 16, 0.4, 2},
-		{"grid", 25, 0.35, 3},
-		{"heavy-hex", 12, 0.4, 4},
-		{"heavy-hex", 20, 0.3, 5},
-		{"grid", 36, 0.3, 6},
-	}
-	out := make([]string, 0, len(specs))
-	for _, s := range specs {
-		prob := ataqc.RandomProblem(s.n, s.density, s.seed)
-		b, err := json.Marshal(serve.CompileRequest{Arch: s.arch, Edges: prob.InteractionList()})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, string(b))
-	}
-	return out, nil
 }
 
 // buildReport converts the registry into the level report.

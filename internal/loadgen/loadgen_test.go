@@ -2,12 +2,15 @@ package loadgen
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/ata-pattern/ataqc/internal/obs"
 	"github.com/ata-pattern/ataqc/internal/serve"
+	"github.com/ata-pattern/ataqc/internal/telemetry"
 )
 
 // TestRunClosedLoop drives a short closed-loop level with a chaos arm
@@ -17,12 +20,21 @@ func TestRunClosedLoop(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	spec := &WorkloadSpec{Mix: []MixSpec{
+		{Arch: "grid", N: 9, Density: 0.5, Seed: 1},
+		{Arch: "heavy-hex", N: 12, Density: 0.4, Seed: 4},
+	}}
+	bodies, err := spec.Bodies()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Run(context.Background(), Config{
 		URL:           ts.URL,
 		Clients:       4,
 		Duration:      2 * time.Second,
 		ChaosFraction: 0.25,
 		Seed:          7,
+		Bodies:        bodies,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -44,6 +56,60 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 	if rep.AchievedRPS <= 0 {
 		t.Fatalf("achieved rps not computed: %+v", rep)
+	}
+}
+
+// TestRunNeedsBodies: a level with nothing to send is an error, not a
+// silent fallback to some other load.
+func TestRunNeedsBodies(t *testing.T) {
+	if _, err := Run(context.Background(), Config{URL: "http://127.0.0.1:0"}); err == nil {
+		t.Fatal("Run without bodies succeeded")
+	}
+}
+
+// TestRunCountsEveryOutcome drives a stub daemon whose answer depends on
+// the body: a degraded 200, a 500, a 503 that never clears, and a 200
+// without a trace ID. Each lands in its own report field, and the 503 is
+// retried before it counts as shed.
+func TestRunCountsEveryOutcome(t *testing.T) {
+	const traceID = "0123456789abcdef0123456789abcdef"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		if string(b) != "untraced" {
+			w.Header().Set(telemetry.TraceHeader, traceID)
+		}
+		switch string(b) {
+		case "fail":
+			w.WriteHeader(http.StatusInternalServerError)
+		case "busy":
+			w.WriteHeader(http.StatusServiceUnavailable)
+		default:
+			io.WriteString(w, `{"degraded":true}`)
+		}
+	}))
+	defer ts.Close()
+
+	rep, err := Run(context.Background(), Config{
+		URL:      ts.URL,
+		Clients:  2,
+		Duration: 1500 * time.Millisecond,
+		Seed:     3,
+		Bodies:   []string{"ok", "fail", "busy", "untraced"},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.OK == 0 || rep.Degraded != rep.OK {
+		t.Fatalf("ok = %d, degraded = %d: every 200 here is degraded", rep.OK, rep.Degraded)
+	}
+	if rep.Errors["status_500"] == 0 {
+		t.Fatalf("500s not counted: %+v", rep.Errors)
+	}
+	if rep.Shed == 0 || rep.Retries < maxRetries*rep.Shed {
+		t.Fatalf("shed = %d after %d retries, want each shed after %d retries", rep.Shed, rep.Retries, maxRetries)
+	}
+	if rep.TraceIDViolations == 0 {
+		t.Fatal("an answer without a trace ID went uncounted")
 	}
 }
 

@@ -2,66 +2,99 @@ package loadgen
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
-	ataqc "github.com/ata-pattern/ataqc"
+	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/serve"
 )
 
-// WorkloadSpec is a declarative bench workload: the load levels to sweep
-// and the problem mix to draw request bodies from, loaded from a small
-// YAML subset (see ParseWorkload). cmd/ataqc-bench's -workload flag runs
-// one, replacing its -rps/-clients/-duration/-chaos-fraction/-seed flags
-// with the spec's values.
+// WorkloadSpec is a declarative bench workload, decoded from JSON by
+// ParseWorkload: the load levels to sweep and the problem mix to draw
+// request bodies from. It is the only way to describe load:
+// cmd/ataqc-bench's -workload flag runs one, and `ataqc warm` precompiles
+// its mix. examples/workloads/ holds the shipped specs.
 type WorkloadSpec struct {
 	// Name labels the report.
-	Name string
+	Name string `json:"name"`
 	// Seed drives body generation, sampling, and backoff jitter.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// ChaosFraction is the hostile-client probability per slot.
-	ChaosFraction float64
+	ChaosFraction float64 `json:"chaos_fraction"`
 	// Levels are swept in order.
-	Levels []LevelSpec
+	Levels []LevelSpec `json:"levels"`
 	// Mix is the weighted problem pool request bodies are sampled from.
-	Mix []MixSpec
+	Mix []MixSpec `json:"mix"`
 }
 
 // LevelSpec is one load level of a workload.
 type LevelSpec struct {
 	// RPS is the target aggregate rate (0 = closed loop).
-	RPS float64
-	// Duration bounds the level (0 = loadgen default).
-	Duration time.Duration
+	RPS float64 `json:"rps"`
+	// Duration bounds the level (absent = loadgen default).
+	Duration Duration `json:"duration"`
 	// Clients is the concurrent client count (0 = loadgen default).
-	Clients int
+	Clients int `json:"clients"`
+}
+
+// Duration is a time.Duration that JSON spells as a Go duration string
+// ("8s", "1m30s").
+type Duration time.Duration
+
+// UnmarshalJSON accepts a positive Go duration string.
+func (d *Duration) UnmarshalJSON(b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("duration %s is not a duration string such as \"5s\"", b)
+	}
+	v, err := time.ParseDuration(s)
+	if err != nil || v <= 0 {
+		return fmt.Errorf("duration %q is not a positive duration", s)
+	}
+	*d = Duration(v)
+	return nil
 }
 
 // MixSpec is one weighted entry of the problem mix.
 type MixSpec struct {
 	// Arch names the target architecture family (as in CompileRequest).
-	Arch string
+	Arch string `json:"arch"`
 	// N is the problem size in qubits.
-	N int
+	N int `json:"n"`
 	// Density is the Erdős–Rényi edge density.
-	Density float64
+	Density float64 `json:"density"`
 	// Seed fixes the problem instance (same arch/n/density/seed = same
 	// problem — the lever for building repeat-heavy, cache-friendly load).
-	Seed int64
-	// Weight is the entry's sampling multiplicity (default 1).
-	Weight int
+	Seed int64 `json:"seed"`
+	// Weight is the entry's sampling multiplicity (0 = 1).
+	Weight int `json:"weight"`
 	// Relabel adds this many isomorphic variants (vertex-relabeled copies
 	// of the same problem). They exercise the compilation cache's
 	// canonical hashing: each variant is a distinct request body that a
 	// canonicalizing cache recognizes as the same problem.
-	Relabel int
+	Relabel int `json:"relabel"`
 }
+
+// Problem builds the entry's problem: the connected Erdős–Rényi graph
+// G(N, Density) drawn from Seed. Bodies and `ataqc warm` both build it
+// here, so a warmed cache holds exactly the problems the bench sends.
+func (m MixSpec) Problem() *graph.Graph {
+	return graph.GnpConnected(m.N, m.Density, rand.New(rand.NewSource(m.Seed)))
+}
+
+// Bounds on one spec. A mix entry larger than the daemon's default qubit
+// cap would only be refused; weight and relabel multiply the bodies a
+// spec expands to, and clients the goroutines a level starts.
+const (
+	maxClients = 1024
+	maxWeight  = 1000
+	maxRelabel = 16
+)
 
 // LoadWorkload reads a workload spec file (see ParseWorkload).
 func LoadWorkload(path string) (*WorkloadSpec, error) {
@@ -77,78 +110,65 @@ func LoadWorkload(path string) (*WorkloadSpec, error) {
 	return s, nil
 }
 
-// ParseWorkload parses a workload spec from a small YAML subset — the
-// only YAML these specs need, hand-rolled so the tool stays free of
-// external dependencies:
+// ParseWorkload decodes one JSON workload spec:
 //
-//	name: repeat-heavy          # top-level scalars
-//	seed: 7
-//	chaos_fraction: 0.1
-//	levels:                     # lists of flat mappings
-//	  - rps: 40
-//	    duration: 8s
-//	    clients: 8
-//	mix:
-//	  - arch: grid
-//	    n: 16
-//	    density: 0.4
-//	    seed: 3
-//	    weight: 4
-//	    relabel: 2
+//	{"name": "repeat-heavy", "seed": 7, "chaos_fraction": 0.1,
+//	 "levels": [{"rps": 40, "duration": "8s", "clients": 8}],
+//	 "mix": [{"arch": "grid", "n": 16, "density": 0.4, "seed": 3,
+//	          "weight": 4, "relabel": 2}]}
 //
-// Comments (#), blank lines, and consistent space indentation are
-// supported; tabs, nesting beyond one list of mappings, and flow syntax
-// are not. Unknown keys are rejected so typos fail loudly.
+// Unknown keys and trailing data are rejected so typos fail loudly, and
+// every value is range-checked; errors name the offending field.
 func ParseWorkload(r io.Reader) (*WorkloadSpec, error) {
-	doc, err := parseYAMLSubset(r)
-	if err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var s WorkloadSpec
+	if err := dec.Decode(&s); err != nil {
 		return nil, err
 	}
-	spec := &WorkloadSpec{}
-	if err := doc.scalars(func(key, val string, line int) error {
-		switch key {
-		case "name":
-			spec.Name = val
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return fmt.Errorf("line %d: seed %q is not an integer", line, val)
-			}
-			spec.Seed = n
-		case "chaos_fraction":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return fmt.Errorf("line %d: chaos_fraction %q is not in [0,1]", line, val)
-			}
-			spec.ChaosFraction = f
-		default:
-			return fmt.Errorf("line %d: unknown key %q", line, key)
-		}
-		return nil
-	}); err != nil {
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the workload object")
+	}
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	for _, item := range doc.items("levels") {
-		lvl, err := item.level()
-		if err != nil {
-			return nil, err
+	return &s, nil
+}
+
+// validate enforces every range rule of a spec.
+func (s *WorkloadSpec) validate() error {
+	if s.ChaosFraction < 0 || s.ChaosFraction > 1 {
+		return fmt.Errorf("chaos_fraction %v is not in [0,1]", s.ChaosFraction)
+	}
+	if len(s.Levels) == 0 {
+		return errors.New("workload has no levels")
+	}
+	if len(s.Mix) == 0 {
+		return errors.New("workload has no problem mix")
+	}
+	for i, l := range s.Levels {
+		if l.RPS < 0 {
+			return fmt.Errorf("levels[%d].rps %v is negative", i, l.RPS)
 		}
-		spec.Levels = append(spec.Levels, lvl)
-	}
-	for _, item := range doc.items("mix") {
-		mx, err := item.mix()
-		if err != nil {
-			return nil, err
+		if l.Clients < 0 || l.Clients > maxClients {
+			return fmt.Errorf("levels[%d].clients %d is not in [0,%d]", i, l.Clients, maxClients)
 		}
-		spec.Mix = append(spec.Mix, mx)
 	}
-	if len(spec.Levels) == 0 {
-		return nil, fmt.Errorf("workload has no levels")
+	for i, m := range s.Mix {
+		switch {
+		case m.Arch == "":
+			return fmt.Errorf("mix[%d].arch is missing", i)
+		case m.N < 2 || m.N > serve.DefaultMaxQubits:
+			return fmt.Errorf("mix[%d].n %d is not in [2,%d]", i, m.N, serve.DefaultMaxQubits)
+		case !(m.Density > 0 && m.Density <= 1):
+			return fmt.Errorf("mix[%d].density %v is not in (0,1]", i, m.Density)
+		case m.Weight < 0 || m.Weight > maxWeight:
+			return fmt.Errorf("mix[%d].weight %d is not in [0,%d]", i, m.Weight, maxWeight)
+		case m.Relabel < 0 || m.Relabel > maxRelabel:
+			return fmt.Errorf("mix[%d].relabel %d is not in [0,%d]", i, m.Relabel, maxRelabel)
+		}
 	}
-	if len(spec.Mix) == 0 {
-		return nil, fmt.Errorf("workload has no problem mix")
-	}
-	return spec, nil
+	return nil
 }
 
 // Bodies renders the mix into compile-request JSON bodies: each entry
@@ -158,11 +178,10 @@ func ParseWorkload(r io.Reader) (*WorkloadSpec, error) {
 func (s *WorkloadSpec) Bodies() ([]string, error) {
 	var out []string
 	for i, m := range s.Mix {
-		prob := ataqc.RandomProblem(m.N, m.Density, m.Seed)
-		edges := prob.InteractionList()
-		weight := m.Weight
-		if weight <= 0 {
-			weight = 1
+		es := m.Problem().Edges()
+		edges := make([][2]int, len(es))
+		for j, e := range es {
+			edges[j] = [2]int{e.U, e.V}
 		}
 		variants := [][][2]int{edges}
 		rng := rand.New(rand.NewSource(s.Seed ^ m.Seed ^ int64(i)<<32))
@@ -191,8 +210,9 @@ func (s *WorkloadSpec) Bodies() ([]string, error) {
 			if err != nil {
 				return nil, err
 			}
-			for w := 0; w < weight; w++ {
-				out = append(out, string(b))
+			body := string(b)
+			for w := 0; w < max(m.Weight, 1); w++ {
+				out = append(out, body)
 			}
 		}
 	}
@@ -213,254 +233,11 @@ func (s *WorkloadSpec) Configs(url string) ([]Config, error) {
 			URL:           url,
 			Clients:       lvl.Clients,
 			RPS:           lvl.RPS,
-			Duration:      lvl.Duration,
+			Duration:      time.Duration(lvl.Duration),
 			ChaosFraction: s.ChaosFraction,
 			Seed:          s.Seed + int64(i)*104729,
 			Bodies:        bodies,
 		}
 	}
 	return out, nil
-}
-
-// --- YAML-subset machinery ---
-
-// yamlDoc is the parsed shape: top-level scalars plus named lists of flat
-// string maps, with source line numbers for error reporting.
-type yamlDoc struct {
-	scalarOrder []scalarEntry
-	lists       map[string][]yamlItem
-	listOrder   []string
-}
-
-type scalarEntry struct {
-	key, val string
-	line     int
-}
-
-type yamlItem struct {
-	fields map[string]string
-	lines  map[string]int
-	line   int // the "- " line that opened the item
-}
-
-func (d *yamlDoc) scalars(fn func(key, val string, line int) error) error {
-	for _, s := range d.scalarOrder {
-		if err := fn(s.key, s.val, s.line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *yamlDoc) items(section string) []yamlItem { return d.lists[section] }
-
-// take pops a field from the item, returning "" when absent.
-func (it *yamlItem) take(key string) (string, int) {
-	v, ok := it.fields[key]
-	if !ok {
-		return "", 0
-	}
-	delete(it.fields, key)
-	return v, it.lines[key]
-}
-
-// leftovers reports unconsumed fields as a sorted list.
-func (it *yamlItem) leftovers() []string {
-	var keys []string
-	//vet:ignore maprange collected keys are sorted before returning
-	for k := range it.fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func (it yamlItem) level() (LevelSpec, error) {
-	var lvl LevelSpec
-	if v, line := it.take("rps"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return lvl, fmt.Errorf("line %d: rps %q is not a non-negative number", line, v)
-		}
-		lvl.RPS = f
-	}
-	if v, line := it.take("duration"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return lvl, fmt.Errorf("line %d: duration %q is not a positive duration", line, v)
-		}
-		lvl.Duration = d
-	}
-	if v, line := it.take("clients"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return lvl, fmt.Errorf("line %d: clients %q is not a non-negative integer", line, v)
-		}
-		lvl.Clients = n
-	}
-	if left := it.leftovers(); len(left) > 0 {
-		return lvl, fmt.Errorf("line %d: unknown level keys %v", it.line, left)
-	}
-	return lvl, nil
-}
-
-func (it yamlItem) mix() (MixSpec, error) {
-	var m MixSpec
-	arch, _ := it.take("arch")
-	if arch == "" {
-		return m, fmt.Errorf("line %d: mix entry needs an arch", it.line)
-	}
-	m.Arch = arch
-	v, line := it.take("n")
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 2 {
-		return m, fmt.Errorf("line %d: mix entry needs n >= 2 (got %q)", max(line, it.line), v)
-	}
-	m.N = n
-	v, line = it.take("density")
-	den, err := strconv.ParseFloat(v, 64)
-	if err != nil || den <= 0 || den > 1 {
-		return m, fmt.Errorf("line %d: mix entry needs density in (0,1] (got %q)", max(line, it.line), v)
-	}
-	m.Density = den
-	if v, line := it.take("seed"); v != "" {
-		s, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return m, fmt.Errorf("line %d: seed %q is not an integer", line, v)
-		}
-		m.Seed = s
-	}
-	if v, line := it.take("weight"); v != "" {
-		w, err := strconv.Atoi(v)
-		if err != nil || w < 1 {
-			return m, fmt.Errorf("line %d: weight %q is not a positive integer", line, v)
-		}
-		m.Weight = w
-	}
-	if v, line := it.take("relabel"); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil || r < 0 {
-			return m, fmt.Errorf("line %d: relabel %q is not a non-negative integer", line, v)
-		}
-		m.Relabel = r
-	}
-	if left := it.leftovers(); len(left) > 0 {
-		return m, fmt.Errorf("line %d: unknown mix keys %v", it.line, left)
-	}
-	return m, nil
-}
-
-// parseYAMLSubset does the line-level work: indentation state machine
-// over "key: value" scalars, "section:" headers, and "- key: value" list
-// items with indented continuation fields.
-func parseYAMLSubset(r io.Reader) (*yamlDoc, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	doc := &yamlDoc{lists: map[string][]yamlItem{}}
-	var (
-		section  string // open list section ("" = top level)
-		cur      *yamlItem
-		curField int // indent of the open item's fields (-1 = unknown yet)
-	)
-	flush := func() {
-		if cur != nil {
-			doc.lists[section] = append(doc.lists[section], *cur)
-			cur = nil
-		}
-	}
-	for lineno, raw := range strings.Split(string(data), "\n") {
-		line := lineno + 1
-		text := stripComment(raw)
-		if strings.TrimSpace(text) == "" {
-			continue
-		}
-		if strings.ContainsRune(text[:len(text)-len(strings.TrimLeft(text, " \t"))], '\t') {
-			return nil, fmt.Errorf("line %d: indentation must use spaces, not tabs", line)
-		}
-		indent := len(text) - len(strings.TrimLeft(text, " "))
-		body := strings.TrimSpace(text)
-
-		switch {
-		case indent == 0:
-			flush()
-			key, val, ok := splitKV(body)
-			if !ok {
-				return nil, fmt.Errorf("line %d: expected \"key: value\", got %q", line, body)
-			}
-			if val == "" {
-				section = key
-				if _, dup := doc.lists[section]; !dup {
-					doc.lists[section] = nil
-					doc.listOrder = append(doc.listOrder, section)
-				}
-			} else {
-				section = ""
-				doc.scalarOrder = append(doc.scalarOrder, scalarEntry{key: key, val: val, line: line})
-			}
-		case strings.HasPrefix(body, "-"):
-			if section == "" {
-				return nil, fmt.Errorf("line %d: list item outside a section", line)
-			}
-			flush()
-			cur = &yamlItem{fields: map[string]string{}, lines: map[string]int{}, line: line}
-			curField = -1
-			rest := strings.TrimSpace(strings.TrimPrefix(body, "-"))
-			if rest != "" {
-				key, val, ok := splitKV(rest)
-				if !ok || val == "" {
-					return nil, fmt.Errorf("line %d: expected \"- key: value\", got %q", line, body)
-				}
-				cur.fields[key] = val
-				cur.lines[key] = line
-			}
-		default:
-			if cur == nil {
-				return nil, fmt.Errorf("line %d: indented line outside a list item", line)
-			}
-			if curField == -1 {
-				curField = indent
-			} else if indent != curField {
-				return nil, fmt.Errorf("line %d: inconsistent indentation (%d spaces, item uses %d)", line, indent, curField)
-			}
-			key, val, ok := splitKV(body)
-			if !ok || val == "" {
-				return nil, fmt.Errorf("line %d: expected \"key: value\", got %q", line, body)
-			}
-			if _, dup := cur.fields[key]; dup {
-				return nil, fmt.Errorf("line %d: duplicate key %q in list item", line, key)
-			}
-			cur.fields[key] = val
-			cur.lines[key] = line
-		}
-	}
-	flush()
-	for _, name := range doc.listOrder {
-		if name != "levels" && name != "mix" {
-			return nil, fmt.Errorf("unknown section %q", name)
-		}
-	}
-	return doc, nil
-}
-
-// stripComment removes a trailing "#" comment. These specs carry no
-// quoted strings, so a '#' at line start or after whitespace always
-// opens a comment.
-func stripComment(line string) string {
-	for i := 0; i < len(line); i++ {
-		if line[i] == '#' && (i == 0 || line[i-1] == ' ' || line[i-1] == '\t') {
-			return line[:i]
-		}
-	}
-	return line
-}
-
-// splitKV splits "key: value" (value may be empty for section headers).
-func splitKV(s string) (key, val string, ok bool) {
-	i := strings.Index(s, ":")
-	if i <= 0 {
-		return "", "", false
-	}
-	return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:]), true
 }

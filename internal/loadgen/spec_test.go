@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -8,32 +9,23 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	ataqc "github.com/ata-pattern/ataqc"
 )
 
-const sampleSpec = `
-# a comment
-name: sample
-seed: 42
-chaos_fraction: 0.25
-
-levels:
-  - rps: 40
-    duration: 8s
-    clients: 8
-  - rps: 0          # closed loop
-    duration: 5s
-
-mix:
-  - arch: grid
-    n: 9
-    density: 0.5
-    seed: 3
-    weight: 2
-  - arch: heavy-hex
-    n: 12
-    density: 0.4
-    seed: 5
-    relabel: 2
+const sampleSpec = `{
+  "name": "sample",
+  "seed": 42,
+  "chaos_fraction": 0.25,
+  "levels": [
+    {"rps": 40, "duration": "8s", "clients": 8},
+    {"rps": 0, "duration": "5s"}
+  ],
+  "mix": [
+    {"arch": "grid", "n": 9, "density": 0.5, "seed": 3, "weight": 2},
+    {"arch": "heavy-hex", "n": 12, "density": 0.4, "seed": 5, "relabel": 2}
+  ]
+}
 `
 
 func TestParseWorkload(t *testing.T) {
@@ -45,8 +37,8 @@ func TestParseWorkload(t *testing.T) {
 		t.Fatalf("scalars: %+v", spec)
 	}
 	wantLevels := []LevelSpec{
-		{RPS: 40, Duration: 8 * time.Second, Clients: 8},
-		{RPS: 0, Duration: 5 * time.Second},
+		{RPS: 40, Duration: Duration(8 * time.Second), Clients: 8},
+		{RPS: 0, Duration: Duration(5 * time.Second)},
 	}
 	if !reflect.DeepEqual(spec.Levels, wantLevels) {
 		t.Fatalf("levels: %+v", spec.Levels)
@@ -60,22 +52,64 @@ func TestParseWorkload(t *testing.T) {
 	}
 }
 
+// TestWorkloadConfigs: one Config per level, each with the level's
+// shape, the spec's chaos fraction and bodies, and its own derived seed.
+func TestWorkloadConfigs(t *testing.T) {
+	spec, err := ParseWorkload(strings.NewReader(sampleSpec))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	cfgs, err := spec.Configs("http://127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("configs: %v", err)
+	}
+	if len(cfgs) != 2 {
+		t.Fatalf("got %d configs, want 2", len(cfgs))
+	}
+	for i, c := range cfgs {
+		lvl := spec.Levels[i]
+		if c.RPS != lvl.RPS || c.Clients != lvl.Clients || c.Duration != time.Duration(lvl.Duration) ||
+			c.ChaosFraction != 0.25 || len(c.Bodies) != 5 || c.URL != "http://127.0.0.1:0" {
+			t.Fatalf("level %d: %+v", i, c)
+		}
+		if want := 42 + int64(i)*104729; c.Seed != want {
+			t.Fatalf("level %d seed = %d, want %d", i, c.Seed, want)
+		}
+	}
+}
+
 func TestParseWorkloadErrors(t *testing.T) {
+	const lv, mx = `"levels":[{"rps":1}]`, `"mix":[{"arch":"grid","n":4,"density":0.5}]`
 	cases := []struct {
 		name, text, want string
 	}{
-		{"unknown top key", "nmae: x\nlevels:\n  - rps: 1\nmix:\n  - arch: grid\n    n: 4\n    density: 0.5\n", "unknown key"},
-		{"unknown section", "stuff:\n  - a: 1\n", "unknown section"},
-		{"unknown level key", "levels:\n  - rsp: 4\nmix:\n  - arch: grid\n    n: 4\n    density: 0.5\n", "unknown level keys"},
-		{"unknown mix key", "levels:\n  - rps: 4\nmix:\n  - arch: grid\n    n: 4\n    density: 0.5\n    wieght: 2\n", "unknown mix keys"},
-		{"tab indent", "levels:\n\t- rps: 4\n", "tabs"},
-		{"no levels", "mix:\n  - arch: grid\n    n: 4\n    density: 0.5\n", "no levels"},
-		{"no mix", "levels:\n  - rps: 4\n", "no problem mix"},
-		{"bad density", "levels:\n  - rps: 4\nmix:\n  - arch: grid\n    n: 4\n    density: 1.5\n", "density"},
-		{"missing arch", "levels:\n  - rps: 4\nmix:\n  - n: 4\n    density: 0.5\n", "needs an arch"},
-		{"duplicate key", "levels:\n  - rps: 4\n    rps: 5\nmix:\n  - arch: grid\n    n: 4\n    density: 0.5\n", "duplicate key"},
-		{"item outside section", "name: x\n  - rps: 4\n", "outside"},
-		{"ragged indent", "levels:\n  - rps: 4\n    duration: 2s\n      clients: 3\n", "inconsistent indentation"},
+		{"unknown top key", `{"nmae":"x",` + lv + `,` + mx + `}`, `unknown field "nmae"`},
+		{"unknown section", `{"stuff":[{"a":1}],` + lv + `,` + mx + `}`, `unknown field "stuff"`},
+		{"unknown level key", `{"levels":[{"rsp":4}],` + mx + `}`, `unknown field "rsp"`},
+		{"unknown mix key", `{` + lv + `,"mix":[{"arch":"grid","n":4,"density":0.5,"wieght":2}]}`, `unknown field "wieght"`},
+		{"trailing data", `{` + lv + `,` + mx + `} {}`, "trailing data"},
+		{"trailing bracket", `{` + lv + `,` + mx + `}]`, "trailing data"},
+		{"not an object", `[]`, "cannot unmarshal"},
+		{"empty input", ``, "EOF"},
+		{"string rps", `{"levels":[{"rps":"4"}],` + mx + `}`, "rps"},
+		{"no levels", `{` + mx + `}`, "no levels"},
+		{"no mix", `{` + lv + `}`, "no problem mix"},
+		{"chaos fraction", `{"chaos_fraction":1.5,` + lv + `,` + mx + `}`, "chaos_fraction"},
+		{"negative rps", `{"levels":[{"rps":-1}],` + mx + `}`, "levels[0].rps"},
+		{"negative clients", `{"levels":[{"clients":-1}],` + mx + `}`, "levels[0].clients"},
+		{"too many clients", `{"levels":[{},{"clients":5000}],` + mx + `}`, "levels[1].clients"},
+		{"bad duration", `{"levels":[{"duration":"soon"}],` + mx + `}`, "duration"},
+		{"zero duration", `{"levels":[{"duration":"0s"}],` + mx + `}`, "positive duration"},
+		{"numeric duration", `{"levels":[{"duration":5}],` + mx + `}`, "duration"},
+		{"missing arch", `{` + lv + `,"mix":[{"n":4,"density":0.5}]}`, "mix[0].arch"},
+		{"small n", `{` + lv + `,"mix":[{"arch":"grid","n":1,"density":0.5}]}`, "mix[0].n"},
+		{"huge n", `{` + lv + `,"mix":[{"arch":"grid","n":100000,"density":0.5}]}`, "mix[0].n"},
+		{"bad density", `{` + lv + `,"mix":[{"arch":"grid","n":4,"density":1.5}]}`, "mix[0].density"},
+		{"missing density", `{` + lv + `,"mix":[{"arch":"grid","n":4}]}`, "mix[0].density"},
+		{"negative weight", `{` + lv + `,"mix":[{"arch":"grid","n":4,"density":0.5,"weight":-2}]}`, "mix[0].weight"},
+		{"huge weight", `{` + lv + `,"mix":[{"arch":"grid","n":4,"density":0.5,"weight":1000000}]}`, "mix[0].weight"},
+		{"negative relabel", `{` + lv + `,` + `"mix":[{"arch":"grid","n":4,"density":0.5},{"arch":"grid","n":4,"density":0.5,"relabel":-1}]}`, "mix[1].relabel"},
+		{"huge relabel", `{` + lv + `,"mix":[{"arch":"grid","n":4,"density":0.5,"relabel":1000}]}`, "mix[0].relabel"},
 	}
 	for _, tc := range cases {
 		_, err := ParseWorkload(strings.NewReader(tc.text))
@@ -131,6 +165,11 @@ func TestWorkloadBodies(t *testing.T) {
 			t.Fatalf("relabel variant %d is not a relabeling of the base", i+1)
 		}
 	}
+	// The base body carries the entry's problem exactly as the public
+	// API draws it, so a spec names the same instance everywhere.
+	if want := ataqc.RandomProblem(12, 0.4, 5).InteractionList(); !reflect.DeepEqual(base.Edges, want) {
+		t.Fatalf("base edges %v, want RandomProblem's %v", base.Edges, want)
+	}
 }
 
 func sameDegreeMultiset(a, b [][2]int, n int) bool {
@@ -148,10 +187,10 @@ func sameDegreeMultiset(a, b [][2]int, n int) bool {
 	return reflect.DeepEqual(da, db)
 }
 
-// TestExampleWorkloadsAreValid keeps the shipped spec files parseable
+// TestExampleWorkloadsAreValid keeps the shipped spec files decodable
 // and expandable — the docs' quickstart must not rot.
 func TestExampleWorkloadsAreValid(t *testing.T) {
-	matches, err := filepath.Glob("../../examples/workloads/*.yaml")
+	matches, err := filepath.Glob("../../examples/workloads/*.json")
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no example workload specs found: %v", err)
 	}
@@ -171,4 +210,29 @@ func TestExampleWorkloadsAreValid(t *testing.T) {
 			t.Fatalf("%s: expanded to no work", path)
 		}
 	}
+	if _, err := LoadWorkload("../../examples/workloads/absent.json"); err == nil {
+		t.Fatal("missing spec file accepted")
+	}
+}
+
+// FuzzParseWorkload: any input decodes to a spec or an error, never a
+// panic, and a spec the decoder accepts expands to load.
+func FuzzParseWorkload(f *testing.F) {
+	f.Add([]byte(sampleSpec))
+	f.Add([]byte(`{"levels":[{}],"mix":[{"arch":"grid","n":2,"density":1}]}`))
+	f.Add([]byte(`{"levels":[{"duration":"1ms"}],"mix":[{"arch":"line","n":5,"density":0.1,"relabel":3,"weight":7}]} x`))
+	f.Add([]byte(`{"seed":-9,"chaos_fraction":1,"levels":null,"mix":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseWorkload(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		cfgs, err := spec.Configs("http://127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("accepted spec %q does not expand: %v", data, err)
+		}
+		if len(cfgs) != len(spec.Levels) || len(cfgs[0].Bodies) == 0 {
+			t.Fatalf("accepted spec %q expands to no work", data)
+		}
+	})
 }

@@ -23,6 +23,14 @@ const (
 	PressureCritical = 2
 )
 
+// pressureCounters names the metrics counter each level's admissions
+// count under, indexed by level.
+var pressureCounters = [...]string{
+	PressureRelaxed:  "serve.pressure.0",
+	PressureElevated: "serve.pressure.1",
+	PressureCritical: "serve.pressure.2",
+}
+
 // Work budgets installed by the elevated and critical levels. The elevated
 // budget lets the greedy phase finish on mid-size problems while truncating
 // prediction; the critical budget exhausts on the first poll so the compile

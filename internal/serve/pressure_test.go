@@ -225,4 +225,15 @@ func TestElevatedPressureStillServes(t *testing.T) {
 	if d, _ := m["depth"].(float64); d <= 0 {
 		t.Fatalf("depth %v, want > 0", m["depth"])
 	}
+	// The admission counts under the names the benchmark reads; a level
+	// no request reached has no counter yet.
+	counters := srv.Metrics().Snapshot().Counters
+	if counters["serve.pressure.1"] != 1 {
+		t.Fatalf("serve.pressure.1 = %d, want 1", counters["serve.pressure.1"])
+	}
+	for _, name := range []string{"serve.pressure.0", "serve.pressure.2"} {
+		if _, ok := counters[name]; ok {
+			t.Fatalf("%s exists without a request at that level", name)
+		}
+	}
 }

@@ -411,7 +411,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	level := s.policy.level(s.queued.Load())
 	deadline, maxNodes := s.policy.budgets(level, opts.Deadline, opts.MaxNodes)
 	opts.Deadline, opts.MaxNodes = deadline, maxNodes
-	s.met.Counter(fmt.Sprintf("serve.pressure.%d", level)).Add(1)
+	s.met.Counter(pressureCounters[level]).Add(1)
 	job.SetPressure(level)
 
 	if s.cfg.Cache != nil {

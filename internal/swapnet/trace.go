@@ -7,36 +7,24 @@ import (
 
 // ATATraced is ATAWithCache wrapped in an "ata.region" span on tr (nil tr
 // is exactly ATAWithCache): the span carries the region bounds up front
-// and, once the pattern completes, the emitted step/cycle/gate counts plus
-// the cache-lookup delta. The delta is read off the cache's global counters,
-// so it is exact only when no other goroutine uses the cache concurrently —
-// true for the materialisation and pure-ATA paths that call this.
+// and, once the pattern completes, the emitted step/cycle/gate counts.
+// Pattern-cache counts live only on the cache (PatternCache.Stats): a
+// cache shared across compiles cannot attribute them to one region.
 func ATATraced(st *State, region arch.Region, emit EmitFunc, c *PatternCache, tr *obs.Trace, parent *obs.Span) error {
 	if tr == nil {
 		return ATAWithCache(st, region, emit, c)
 	}
 	sp := tr.StartSpan(parent, "ata.region", regionAttrs(region)...)
-	var before CacheStats
-	if c != nil {
-		before = c.Stats()
-	}
 	var cnt Counter
 	err := ATAWithCache(st, region, func(s Step) { cnt.Emit(s); emit(s) }, c)
-	attrs := []obs.Attr{
+	sp.SetAttrs(
 		obs.Int("steps", cnt.Steps),
 		obs.Int("cycles", cnt.Cycles),
 		obs.Int("gates", cnt.Gates),
 		obs.Int("fused", cnt.Fused),
 		obs.Int("swaps", cnt.Swaps),
 		obs.Int("cx", cnt.CX),
-	}
-	if c != nil {
-		after := c.Stats()
-		attrs = append(attrs,
-			obs.I64("cache_hits", after.Hits-before.Hits),
-			obs.I64("cache_misses", after.Misses-before.Misses))
-	}
-	sp.SetAttrs(attrs...)
+	)
 	sp.End()
 	return err
 }

@@ -57,7 +57,10 @@ func Compare(got, want *Polynomial, tol float64) []Mismatch {
 	// Uniform mode: elect the reference angle as the most common realized
 	// angle over wanted terms (deterministically: highest count, then
 	// smallest angle), so a single corrupted gate reports as the outlier
-	// rather than poisoning every other term's comparison.
+	// rather than poisoning every other term's comparison. Non-finite
+	// angles do not vote: every NaN would be its own map key and compare
+	// false against the running minimum, making the election depend on
+	// map order; such a term is reported on its own below.
 	uniform := false
 	ref := math.NaN()
 	//vet:ignore maprange FromGraph assigns every term the same angle, any element works
@@ -71,7 +74,7 @@ func Compare(got, want *Polynomial, tol float64) []Mismatch {
 		votes := make(map[float64]int)
 		//vet:ignore maprange vote counting is commutative, order-independent
 		for k, wt := range want.Terms {
-			if gt, ok := got.Terms[k]; ok && wt.Count == gt.Count {
+			if gt, ok := got.Terms[k]; ok && wt.Count == gt.Count && !math.IsNaN(gt.Angle) && !math.IsInf(gt.Angle, 0) {
 				votes[gt.Angle]++
 			}
 		}
@@ -103,7 +106,7 @@ func Compare(got, want *Polynomial, tol float64) []Mismatch {
 				Msg: fmt.Sprintf("term %s realized with angle %v but no consensus program angle exists", wt.describe(n), gt.Angle)})
 			continue
 		}
-		if math.Abs(gt.Angle-wantAngle) > tol {
+		if !(math.Abs(gt.Angle-wantAngle) <= tol) { // a NaN angle is a mismatch too
 			out = append(out, Mismatch{Term: wt.describe(n), Got: gt.Angle, Want: wantAngle, Count: gt.Count,
 				Msg: fmt.Sprintf("term %s accumulates angle %v from %d gate(s), program wants %v",
 					wt.describe(n), gt.Angle, gt.Count, wantAngle)})

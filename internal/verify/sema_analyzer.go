@@ -97,7 +97,7 @@ func semaDense(p *Pass, frame []int) bool {
 		}
 	}
 	for id, a := range angle {
-		if count[id] == 0 || math.Abs(a-p.Angle) > sema.Tol {
+		if count[id] == 0 || !(math.Abs(a-p.Angle) <= sema.Tol) { // NaN fails too
 			return false
 		}
 	}

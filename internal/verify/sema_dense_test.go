@@ -1,9 +1,11 @@
 package verify_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
@@ -102,6 +104,57 @@ func FuzzSemaDenseMatchesGeneral(f *testing.F) {
 			t.Fatalf("sema analyzer diverges from the general engine:\n got  %v\n want %v", got, want)
 		}
 	})
+}
+
+// TestSemaUniformNaNAngleIsDeterministic: in uniform mode (Pass.Angle
+// 0) a term whose angle is NaN must not take part in electing the
+// consensus angle. It once did, and the diagnostics then depended on map
+// iteration order: some runs reported every term, others none of them,
+// the NaN term included. Every run must give the same diagnostics, and
+// one of them must name the NaN term.
+func TestSemaUniformNaNAngleIsDeterministic(t *testing.T) {
+	pass := compiledPass(t, 8, 0.5, 1, 0, 0, 0.875)
+	pass.Angle = 0
+	gates := append([]circuit.Gate(nil), pass.Circuit.Gates...)
+	p2l := make([]int, pass.Circuit.NQubits)
+	for i := range p2l {
+		p2l[i] = -1
+	}
+	for l, ph := range pass.Initial {
+		p2l[ph] = l
+	}
+	term := ""
+	for i, g := range gates {
+		if g.Kind == circuit.GateZZ || g.Kind == circuit.GateZZSwap {
+			gates[i].Angle = math.NaN()
+			u, v := min(p2l[g.Q0], p2l[g.Q1]), max(p2l[g.Q0], p2l[g.Q1])
+			term = fmt.Sprintf("term (%d,%d) ", u, v)
+			break
+		}
+		if g.Kind == circuit.GateSwap {
+			p2l[g.Q0], p2l[g.Q1] = p2l[g.Q1], p2l[g.Q0]
+		}
+	}
+	if term == "" {
+		t.Fatal("compiled circuit has no ZZ gate")
+	}
+	pass.Circuit = &circuit.Circuit{NQubits: pass.Circuit.NQubits, Gates: gates}
+
+	first := verify.SemaGeneral(pass)
+	found := false
+	for _, d := range first {
+		if strings.Contains(d.Message, term) && strings.Contains(d.Message, "NaN") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no diagnostic names the NaN %s: %v", term, first)
+	}
+	for run := 1; run < 20; run++ {
+		if got := verify.SemaGeneral(pass); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d diverges:\n got  %v\n first %v", run, got, first)
+		}
+	}
 }
 
 // TestSemaDenseAllocs pins the dense proof's cost on a clean compiled

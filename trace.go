@@ -11,8 +11,8 @@ import (
 // Trace captures one or more compilations' execution timelines: hierarchical
 // spans over every compiler phase (placement, greedy scheduling, the hybrid
 // prediction fan-out with per-worker lanes, ATA materialisation,
-// verification) plus a metrics registry (pattern-cache hits, worker-pool
-// queue wait vs. run time, budget spend). Create one with NewTrace, pass it
+// verification) plus a metrics registry (worker-pool queue wait vs. run
+// time, budget spend, cut predictions). Create one with NewTrace, pass it
 // via Options.Trace, then export in the format you need:
 //
 //	tr := ataqc.NewTrace()
