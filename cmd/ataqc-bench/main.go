@@ -99,8 +99,8 @@ func run(url, out string, maxP99 float64, scrapeEvery time.Duration, workload st
 			return fmt.Errorf("level rps=%g: %w", cfg.RPS, err)
 		}
 		rep.Levels = append(rep.Levels, lvl)
-		fmt.Fprintf(os.Stderr, "ataqc-bench:   sent=%d ok=%d degraded=%d shed=%d retries=%d p50=%.1fms p99=%.1fms chaos=%d/%d\n",
-			lvl.Sent, lvl.OK, lvl.Degraded, lvl.Shed, lvl.Retries,
+		fmt.Fprintf(os.Stderr, "ataqc-bench:   sent=%d ok=%d degraded=%d shed=%d retries=%d aborted=%d p50=%.1fms p99=%.1fms chaos=%d/%d\n",
+			lvl.Sent, lvl.OK, lvl.Degraded, lvl.Shed, lvl.Retries, lvl.Aborted,
 			lvl.LatencyMs.P50, lvl.LatencyMs.P99, lvl.Chaos.Sent-lvl.Chaos.ContractViolations, lvl.Chaos.Sent)
 	}
 

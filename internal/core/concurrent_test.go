@@ -15,11 +15,11 @@ import (
 // TestConcurrentCompilesShareArchAndNoise proves the compiler treats the
 // architecture and the noise model as read-only: many simultaneous
 // CompileContext calls share one *arch.Arch (including its lazily-built
-// distance cache) and one *noise.Model. Run under -race (CI does) this
-// fails on any hidden mutation.
+// distance cache, which the fan-out builds: Distances computes it under a
+// sync.Once) and one *noise.Model. Run under -race (CI does) this fails on
+// any hidden mutation.
 func TestConcurrentCompilesShareArchAndNoise(t *testing.T) {
 	a := arch.GridN(36)
-	a.Distances() // materialize the cache before the fan-out; Distances itself is not synchronized
 	nm := noise.Synthetic(a, 42)
 
 	modes := []Mode{ModeHybrid, ModeGreedy, ModeATA}

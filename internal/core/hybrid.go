@@ -188,11 +188,16 @@ func newHybridEval(a *arch.Arch, problem *graph.Graph, g *greedy.Result, opts Op
 // lower bound of the full F; the charge is the pattern cycles simulated
 // up to it. A checkpoint whose full F is below 1 is never cut, and its F
 // is exactly the uncut one. The grid dual's candidates are priced by the
-// same rule while they run (the predictor is the State's Bound).
+// same rule while they run (the predictor is the State's Bound). Without
+// noise the predictor also takes line runs as counted rounds (it is the
+// State's Rounds sink), which fold into the same sums.
 func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok, cut bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
 	p := predictor{h: h, cp: cp, st: st, nPhys: h.a.N()}
 	st.Bound = &p
+	if h.lfTab == nil {
+		st.Rounds = &p
+	}
 	if err := p.run(); err != nil {
 		return 0, false, false
 	}
@@ -432,6 +437,19 @@ func (p *predictor) Reset(k int) { p.shadow[k] = p.cur }
 // st at the step where the shadow lost.
 func (p *predictor) Add(k int, s swapnet.Step) (float64, bool) { return p.add(&p.shadow[k], s) }
 
+// AddRound implements swapnet.RoundSink for a noise-free predictor: it
+// folds a counted round of one cycle and cx CX into the current pass
+// (k < 0) or slot k's shadow, with add's additions for such a step.
+func (p *predictor) AddRound(k, cx int) (float64, bool) {
+	cur := &p.cur
+	if k >= 0 {
+		cur = &p.shadow[k]
+	}
+	cur.cycles++
+	cur.cx += cx
+	return p.running(cur)
+}
+
 // add sums step s into pass sums cur and returns the running cost with cur
 // as the current pass, and whether it has reached 1.
 func (p *predictor) add(cur *prediction, s swapnet.Step) (float64, bool) {
@@ -455,6 +473,12 @@ func (p *predictor) add(cur *prediction, s swapnet.Step) (float64, bool) {
 			}
 		}
 	}
+	return p.running(cur)
+}
+
+// running returns the running cost with pass sums cur as the current pass,
+// and whether it has reached 1.
+func (p *predictor) running(cur *prediction) (float64, bool) {
 	f := p.cost(p.fold(*cur))
 	return f, f >= 1
 }

@@ -829,17 +829,17 @@ func (e *engine) matchImprove() bool {
 		e.matchSet(eu, int32(i))
 		e.matchSet(ev, int32(i))
 		gain := e.wedgeW[i] - e.wedgeW[blocker]
+		// The best now-free wedge: the wedges are sorted by W descending,
+		// so the first free one is the heaviest (the first of any tie).
 		extra := -1
 		for j := 0; j < k; j++ {
 			if e.chosen[j] || j == i {
 				continue
 			}
 			fcid := e.wedgeCid[j]
-			if e.matchInUse(e.coupU[fcid]) || e.matchInUse(e.coupV[fcid]) {
-				continue
-			}
-			if extra < 0 || e.wedgeW[j] > e.wedgeW[extra] {
+			if !e.matchInUse(e.coupU[fcid]) && !e.matchInUse(e.coupV[fcid]) {
 				extra = j
+				break
 			}
 		}
 		if extra >= 0 {

@@ -100,6 +100,8 @@ type Report struct {
 	DurationSec float64 `json:"durationSec"`
 	// Sent counts compile attempts (retries of the same request are not
 	// re-counted; chaos scenarios are counted under Chaos.Sent instead).
+	// Each lands in exactly one outcome: Sent = OK + Shed + Aborted + the
+	// sum of Errors.
 	Sent int64 `json:"sent"`
 	// OK counts 200 answers; Degraded is the subset compiled on the
 	// pressure ladder's lower rungs.
@@ -109,6 +111,9 @@ type Report struct {
 	// counts individual retry attempts.
 	Shed    int64 `json:"shed"`
 	Retries int64 `json:"retries"`
+	// Aborted counts requests the level's deadline cut off, mid-exchange
+	// or mid-backoff; they are not failures.
+	Aborted int64 `json:"aborted"`
 	// Errors histograms every other final status ("status_500": n) plus
 	// "transport" for connection-level failures.
 	Errors map[string]int64 `json:"errors,omitempty"`
@@ -211,7 +216,8 @@ func doRequest(ctx context.Context, client *http.Client, url string, rng *rand.R
 		switch {
 		case err != nil:
 			if ctx.Err() != nil {
-				return // level over; do not count the abort as a failure
+				reg.Counter("aborted").Add(1) // level over: not a failure
+				return
 			}
 			reg.Counter("transport").Add(1)
 			return
@@ -238,6 +244,7 @@ func doRequest(ctx context.Context, client *http.Client, url string, rng *rand.R
 			select {
 			case <-time.After(sleep):
 			case <-ctx.Done():
+				reg.Counter("aborted").Add(1)
 				return
 			}
 		default:
@@ -286,6 +293,7 @@ func buildReport(reg *obs.Registry, cfg Config, elapsed time.Duration) *Report {
 		Degraded:          snap.Counters["degraded"],
 		Shed:              snap.Counters["shed"],
 		Retries:           snap.Counters["retries"],
+		Aborted:           snap.Counters["aborted"],
 		TraceIDViolations: snap.Counters["trace.violations"],
 		Chaos: ChaosSummary{
 			Sent:               snap.Counters["chaos.sent"],

@@ -113,6 +113,57 @@ func TestRunCountsEveryOutcome(t *testing.T) {
 	}
 }
 
+// TestRunAccountsForEveryRequest cuts a level off while requests are in
+// flight: a stub daemon holds some answers past the level's deadline and
+// keeps shedding others, so requests end mid-exchange and mid-backoff.
+// Every sent request must still land in exactly one outcome.
+func TestRunAccountsForEveryRequest(t *testing.T) {
+	const traceID = "0123456789abcdef0123456789abcdef"
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		w.Header().Set(telemetry.TraceHeader, traceID)
+		switch string(b) {
+		case "slow":
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		case "busy":
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		case "fail":
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		io.WriteString(w, `{}`)
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	rep, err := Run(context.Background(), Config{
+		URL:      ts.URL,
+		Clients:  4,
+		Duration: 600 * time.Millisecond,
+		Seed:     5,
+		Bodies:   []string{"ok", "slow", "busy", "fail"},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var errs int64
+	for _, n := range rep.Errors {
+		errs += n
+	}
+	if rep.Aborted == 0 {
+		t.Fatalf("no request was cut off by the deadline: %+v", rep)
+	}
+	if got := rep.OK + rep.Shed + rep.Aborted + errs; got != rep.Sent {
+		t.Fatalf("sent %d, but ok %d + shed %d + aborted %d + errors %d = %d",
+			rep.Sent, rep.OK, rep.Shed, rep.Aborted, errs, got)
+	}
+}
+
 // TestHistQuantile pins the bucket-interpolation math on a hand-built
 // snapshot: 100 observations, 50 in (64,128], 49 in (128,256], 1 in the
 // tail.

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/serve"
 )
@@ -166,6 +167,17 @@ func (s *WorkloadSpec) validate() error {
 			return fmt.Errorf("mix[%d].weight %d is not in [0,%d]", i, m.Weight, maxWeight)
 		case m.Relabel < 0 || m.Relabel > maxRelabel:
 			return fmt.Errorf("mix[%d].relabel %d is not in [0,%d]", i, m.Relabel, maxRelabel)
+		case m.Arch == "custom":
+			return fmt.Errorf("mix[%d].arch \"custom\" needs couplings, which a mix entry cannot carry", i)
+		}
+		// The daemon builds the device the same way and refuses every
+		// request it cannot build, or whose problem does not fit it.
+		a, err := arch.ByFamily(m.Arch, m.N)
+		if err != nil {
+			return fmt.Errorf("mix[%d].arch: %v", i, err)
+		}
+		if a.N() < m.N {
+			return fmt.Errorf("mix[%d].n %d exceeds the %d qubits of %s", i, m.N, a.N(), a.Name)
 		}
 	}
 	return nil

@@ -78,6 +78,13 @@ func TestWorkloadConfigs(t *testing.T) {
 	}
 }
 
+// Mixes with an entry the daemon answers only with 400s: a family it does
+// not know, and a custom device, whose couplings a mix entry cannot carry.
+const (
+	unknownArchMix = `"mix":[{"arch":"grid","n":4,"density":0.5},{"arch":"torus","n":4,"density":0.5}]`
+	customArchMix  = `"mix":[{"arch":"custom","n":4,"density":0.5}]`
+)
+
 func TestParseWorkloadErrors(t *testing.T) {
 	const lv, mx = `"levels":[{"rps":1}]`, `"mix":[{"arch":"grid","n":4,"density":0.5}]`
 	cases := []struct {
@@ -110,6 +117,9 @@ func TestParseWorkloadErrors(t *testing.T) {
 		{"huge weight", `{` + lv + `,"mix":[{"arch":"grid","n":4,"density":0.5,"weight":1000000}]}`, "mix[0].weight"},
 		{"negative relabel", `{` + lv + `,` + `"mix":[{"arch":"grid","n":4,"density":0.5},{"arch":"grid","n":4,"density":0.5,"relabel":-1}]}`, "mix[1].relabel"},
 		{"huge relabel", `{` + lv + `,"mix":[{"arch":"grid","n":4,"density":0.5,"relabel":1000}]}`, "mix[0].relabel"},
+		{"unknown arch", `{` + lv + `,` + unknownArchMix + `}`, `mix[1].arch: unknown architecture family "torus"`},
+		{"custom arch", `{` + lv + `,` + customArchMix + `}`, `mix[0].arch "custom" needs couplings`},
+		{"device too small", `{` + lv + `,"mix":[{"arch":"mumbai","n":30,"density":0.5}]}`, "mix[0].n 30 exceeds the 27 qubits"},
 	}
 	for _, tc := range cases {
 		_, err := ParseWorkload(strings.NewReader(tc.text))
@@ -222,6 +232,8 @@ func FuzzParseWorkload(f *testing.F) {
 	f.Add([]byte(`{"levels":[{}],"mix":[{"arch":"grid","n":2,"density":1}]}`))
 	f.Add([]byte(`{"levels":[{"duration":"1ms"}],"mix":[{"arch":"line","n":5,"density":0.1,"relabel":3,"weight":7}]} x`))
 	f.Add([]byte(`{"seed":-9,"chaos_fraction":1,"levels":null,"mix":[]}`))
+	f.Add([]byte(`{"levels":[{}],` + unknownArchMix + `}`))
+	f.Add([]byte(`{"levels":[{}],` + customArchMix + `}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseWorkload(bytes.NewReader(data))
 		if err != nil {

@@ -199,9 +199,7 @@ func gridDual(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 // recorder k. The copy stops once its cycles exceed maxCycles (< 0: never)
 // or, under a non-nil bound, once its shadow in slot k has lost.
 func (st *State) candidate(k int, region arch.Region, c *PatternCache, bound Bound, maxCycles int) (*State, *stepRecorder) {
-	f := st.fork(k)
-	r := &st.scr.recs[k]
-	r.reset(f, maxCycles, bound, k)
+	f, r := st.record(k, bound, maxCycles)
 	if k == 1 {
 		snakeATA(f, region, r.emit, c)
 	} else {
@@ -210,15 +208,32 @@ func (st *State) candidate(k int, region arch.Region, c *PatternCache, bound Bou
 	return f, r
 }
 
-// replay takes over winner's final state and emits its recorded steps
-// until the sink stops st.
+// record makes scratch copy k of st with recorder k as its sink, which
+// stops the copy once its cycles exceed maxCycles (< 0: never) or, under
+// a non-nil bound, once its shadow in slot k has lost. The copy counts its
+// line runs' rounds into the recorder when st counts them into Rounds.
+func (st *State) record(k int, bound Bound, maxCycles int) (*State, *stepRecorder) {
+	f := st.fork(k)
+	r := &st.scr.recs[k]
+	r.reset(f, maxCycles, bound, k)
+	f.Rounds, f.rec = st.Rounds, r
+	return f, r
+}
+
+// replay takes over winner's final state and emits its recorded steps,
+// and folds its counted rounds into st's Rounds sink, until the sink stops
+// st.
 func (st *State) replay(winner *State, rec *stepRecorder, emit EmitFunc) {
 	winner.copyTo(st)
-	for _, s := range rec.steps {
+	for i, s := range rec.steps {
 		if st.stopped {
 			return
 		}
-		emit(s)
+		if cx := rec.counted[i]; cx > 0 {
+			st.countRound(cx)
+		} else {
+			emit(s)
+		}
 	}
 }
 

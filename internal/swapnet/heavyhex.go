@@ -149,7 +149,7 @@ func routeStragglers(st *State, sc *scope, regionQubits []int, emit EmitFunc) {
 	}()
 	for !st.stopped {
 		// Take the smallest remaining edge: deterministic.
-		tag, found := sc.rel.first()
+		tag, _, found := sc.rel.next(0)
 		if !found {
 			return
 		}

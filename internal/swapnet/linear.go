@@ -11,8 +11,8 @@ type linearOpts struct {
 	// reversal after m rounds, Fig 6) is preserved. Composite patterns that
 	// rely on the reversal for unit exchange (Sycamore) set this.
 	preserveDynamics bool
-	// sc is the termination scope; when nil, a scope over all line qubits
-	// is built internally.
+	// sc is the termination scope; when nil, it is the wanted pairs among
+	// the line qubits' occupants.
 	sc *scope
 	// extraLayer, if non-nil, is invoked after each round's step has been
 	// emitted, so it can emit additional follow-up steps (heavy-hex
@@ -34,7 +34,8 @@ type linearOpts struct {
 // Gates on pairs that are not wanted degrade to plain SWAPs; rounds whose
 // compute layer is empty still swap (the dynamics are what guarantee
 // coverage). The pattern stops early when the scope is exhausted or the
-// sink stops the State.
+// sink stops the State. A fused run with no extraLayer on a State with a
+// Rounds sink is counted instead of simulated (countLinear).
 func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 	maxLen := 0
 	for _, ln := range lines {
@@ -50,6 +51,10 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 		rounds = maxLen
 	}
 	sc := opts.sc
+	if st.Rounds != nil && opts.extraLayer == nil && !opts.unfused {
+		st.countLinear(lines, rounds, opts.preserveDynamics, sc)
+		return
+	}
 	if sc == nil {
 		sc = newScope(st, lines...)
 	}
@@ -100,4 +105,228 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 			opts.extraLayer(k)
 		}
 	}
+}
+
+// lineSlot is a logical's place in a counted line run: its line (-1 when
+// it is on none) and its position there when the run starts.
+type lineSlot struct{ line, pos int32 }
+
+// countLinear is linear for a noise-free sink that takes counted rounds.
+// Every pair of a line meets on a fixed schedule, so a run's cost and its
+// end follow from the lines' lengths and their occupants' positions:
+//
+//   - a round that is not the last (or keeps its dynamics) costs one
+//     cycle and 3 CX per pair of its parity, wanted (fused gate+SWAP) or
+//     not (plain SWAP); the last bare round costs one cycle and 2 CX per
+//     wanted pair meeting in it, and nothing when none does;
+//   - the logical at position p of a line of length L rides a cycle of 2L
+//     virtual slots, v = p for even p and 2L-1-p for odd p: after k rounds
+//     it sits at slot v+k mod 2L, and slot x >= L is position 2L-1-x.
+//     Every starting slot is even, so with c = v/2 two logicals meet in
+//     round k exactly when c_u+c_v+k = L-1 mod L: first in round
+//     (L-1-c_u-c_v) mod L, then every L rounds;
+//   - the scope is exhausted after the latest first meeting of its pairs,
+//     and never while it holds a pair that is not wanted, not on one line,
+//     or meets only after the last round.
+//
+// Each round is folded into the sink (or the candidate recorder) in turn,
+// exactly when the simulated run would emit its step, so the sink stops
+// st at the same round with the same sums. A stopped run leaves st as it
+// was, which is as good as any mid-pattern State for discarding. A run
+// that ends uncut applies its permutation and removes the wanted pairs
+// that met from the want set and the scope.
+func (st *State) countLinear(lines [][]int, rounds int, preserveDynamics bool, sc *scope) {
+	if st.stopped {
+		return
+	}
+	b := st.scratch()
+	b.startCount(st, lines)
+	defer b.endCount(st, lines)
+	var pairs [2]int // pairs per round parity
+	for _, ln := range lines {
+		pairs[0] += len(ln) / 2
+		pairs[1] += max(len(ln)-1, 0) / 2
+	}
+	// live is the latest first meeting among the scope pairs scanned so
+	// far; the scan goes only as far as the current round needs.
+	live, at, end := -1, 0, rounds
+	for k := 0; k < rounds; k++ {
+		for live < k {
+			m, ok := st.nextMeeting(sc, &at, lines, rounds)
+			if !ok {
+				break
+			}
+			live = max(live, m)
+		}
+		if live < k {
+			end = k
+			break
+		}
+		cx := 3 * pairs[k%2]
+		if k == rounds-1 && !preserveDynamics {
+			cx = 2 * st.meetingIn(lines, k)
+		}
+		if cx > 0 && st.countRound(cx) {
+			return
+		}
+	}
+	it := &b.among
+	it.rewind()
+	for e, ok := it.next(); ok; e, ok = it.next() {
+		if b.meeting(e, lines, rounds) < end {
+			st.Want.Remove(e)
+			if sc != nil {
+				sc.computed(e)
+			}
+		}
+	}
+	moved := end
+	if end == rounds && !preserveDynamics {
+		moved = rounds - 1 // the last round swaps nothing
+	}
+	for _, ln := range lines {
+		st.permuteLine(ln, moved)
+	}
+}
+
+// nextMeeting returns the first meeting round of the scope's next pair, or
+// rounds when it never meets. Without a caller scope the run's scope is
+// the wanted pairs on the lines, which the started walk yields; a caller
+// scope is read from bit *at on, and a pair of it that is not wanted is
+// never computed, so it never meets.
+func (st *State) nextMeeting(sc *scope, at *int, lines [][]int, rounds int) (int, bool) {
+	b := st.scr
+	if sc == nil {
+		e, ok := b.among.next()
+		if !ok {
+			return 0, false
+		}
+		return b.meeting(e, lines, rounds), true
+	}
+	e, resume, ok := sc.rel.next(*at)
+	if !ok {
+		return 0, false
+	}
+	if *at = resume; !st.Want.Has(e) {
+		return rounds, true
+	}
+	return b.meeting(e, lines, rounds), true
+}
+
+// countRound folds a counted round of cx CX into st's sink, or into its
+// candidate recorder, and reports whether that stopped st.
+func (st *State) countRound(cx int) bool {
+	if st.rec != nil {
+		st.rec.round(cx)
+	} else if _, lost := st.Rounds.AddRound(-1, cx); lost {
+		st.Stop()
+	}
+	return st.stopped
+}
+
+// startCount records each line occupant's line and position, and starts
+// the walk over the wanted pairs on the lines.
+func (b *scratch) startCount(st *State, lines [][]int) {
+	if n := max(len(st.L2P), st.Want.n); len(b.slots) < n {
+		b.slots = make([]lineSlot, n)
+		for i := range b.slots {
+			b.slots[i].line = -1
+		}
+	}
+	for li, ln := range lines {
+		for i, p := range ln {
+			if l := st.P2L[p]; l >= 0 {
+				b.slots[l] = lineSlot{line: int32(li), pos: int32(i)}
+			}
+		}
+	}
+	b.among.start(st, lines)
+}
+
+// endCount takes the line occupants off their slots again and ends the
+// walk.
+func (b *scratch) endCount(st *State, lines [][]int) {
+	for _, ln := range lines {
+		for _, p := range ln {
+			if l := st.P2L[p]; l >= 0 {
+				b.slots[l].line = -1
+			}
+		}
+	}
+	b.among.end()
+}
+
+// meeting returns the round in which the logicals of e first meet, or
+// rounds when they do not share a line or meet only after the last round.
+func (b *scratch) meeting(e graph.Edge, lines [][]int, rounds int) int {
+	su, sv := b.slots[e.U], b.slots[e.V]
+	if su.line < 0 || su.line != sv.line {
+		return rounds
+	}
+	n := len(lines[su.line])
+	m := n - 1 - halfSlot(int(su.pos), n) - halfSlot(int(sv.pos), n)
+	if m < 0 {
+		m += n
+	}
+	return min(m, rounds)
+}
+
+// halfSlot is c = v/2 of the starting virtual slot v of position p on a
+// line of length n (see countLinear).
+func halfSlot(p, n int) int {
+	if p%2 == 0 {
+		return p / 2
+	}
+	return n - (p+1)/2
+}
+
+// origin returns the starting position of the logical at position x of a
+// line of length n after k rounds.
+func origin(x, n, k int) int {
+	v := x // the virtual slot at round k has k's parity
+	if (x-k)%2 != 0 {
+		v = 2*n - 1 - x
+	}
+	if v = (v - k) % (2 * n); v < 0 {
+		v += 2 * n
+	}
+	if v >= n {
+		return 2*n - 1 - v
+	}
+	return v
+}
+
+// meetingIn counts the wanted pairs that meet for the first time in round
+// k of a counted run: on a line longer than k, every pair of k's parity.
+func (st *State) meetingIn(lines [][]int, k int) int {
+	c := 0
+	for _, ln := range lines {
+		n := len(ln)
+		if n <= k {
+			continue
+		}
+		for x := k % 2; x+1 < n; x += 2 {
+			if _, ok := st.WantedPhys(ln[origin(x, n, k)], ln[origin(x+1, n, k)]); ok {
+				c++
+			}
+		}
+	}
+	return c
+}
+
+// permuteLine moves line ln's occupants to their positions after k
+// swapping rounds.
+func (st *State) permuteLine(ln []int, k int) {
+	b := st.scr
+	occ := b.occ[:0]
+	for x := range ln {
+		occ = append(occ, st.P2L[ln[origin(x, len(ln), k)]])
+	}
+	for x, l := range occ {
+		st.P2L[ln[x]] = l
+		if l >= 0 {
+			st.L2P[l] = ln[x]
+		}
+	}
+	b.occ = occ
 }

@@ -113,15 +113,22 @@ func (s *EdgeSet) Each(f func(graph.Edge)) {
 	}
 }
 
-// first returns the smallest member in (U, V) order.
-func (s *EdgeSet) first() (graph.Edge, bool) {
-	for wi, w := range s.bits {
-		if w != 0 {
-			i := wi<<6 | bits.TrailingZeros64(w)
-			return graph.Edge{U: i / s.n, V: i % s.n}, true
-		}
+// next returns the smallest member at bit i or after it, in (U, V) order,
+// and the bit to resume from; next(0) is the smallest member.
+func (s *EdgeSet) next(i int) (e graph.Edge, resume int, ok bool) {
+	wi := i >> 6
+	if wi >= len(s.bits) {
+		return graph.Edge{}, 0, false
 	}
-	return graph.Edge{}, false
+	w := s.bits[wi] &^ (1<<(i&63) - 1)
+	for w == 0 {
+		if wi++; wi == len(s.bits) {
+			return graph.Edge{}, 0, false
+		}
+		w = s.bits[wi]
+	}
+	j := wi<<6 | bits.TrailingZeros64(w)
+	return graph.Edge{U: j / s.n, V: j % s.n}, j + 1, true
 }
 
 // Edges returns the remaining edges in ascending (U, V) order.
@@ -200,6 +207,17 @@ type Bound interface {
 	Add(k int, s Step) (cost float64, lost bool)
 }
 
+// RoundSink is a noise-free sink that takes a line run's rounds as counts
+// (see State.Rounds). In fused mode a round of the linear pattern is one
+// cycle whatever its occupants, so a counted round is one cycle and cx CX.
+type RoundSink interface {
+	// AddRound folds a counted round into the sink's running sums (k < 0)
+	// or into Bound slot k's shadow, with the same additions as folding an
+	// emitted step of one cycle and cx CX there, and returns the cost and
+	// whether it has lost. The caller stops the State when it has.
+	AddRound(k, cx int) (cost float64, lost bool)
+}
+
 // State is the mutable execution state a pattern advances: the placement of
 // logical qubits and the remaining wanted edges.
 type State struct {
@@ -210,9 +228,18 @@ type State struct {
 	// Bound, when set, cuts the grid dual's candidate runs (see gridDual);
 	// nil runs every candidate to its end.
 	Bound Bound
+	// Rounds, when set, is the sink the patterns run on st emit to, and
+	// it prices without noise: a line run with no extraLayer then folds
+	// each round into it as a count, and moves st only if the sink never
+	// stops it (see countLinear). With Bound set as well, Rounds prices
+	// Bound's shadows. A grid dual's scratch copy keeps the original's
+	// Rounds, and its recorder takes the counted rounds and replays them
+	// into it. Nil simulates every round.
+	Rounds RoundSink
 
-	stopped bool     // set by Stop; see halted
-	scr     *scratch // pattern buffers; shared only with st's own forks
+	stopped bool          // set by Stop; see halted
+	scr     *scratch      // pattern buffers; shared only with st's own forks
+	rec     *stepRecorder // a grid dual candidate's recorder, which takes its counted rounds
 }
 
 // Stop ends the pattern advancing st: it emits no step after the current
@@ -236,16 +263,21 @@ func (st *State) halted(sc *scope) bool { return st.stopped || sc.done() }
 // the per-pattern buffers below.
 // ATAWithCache borrows one from scratchPool for the duration of the call.
 type scratch struct {
-	sc       scope
-	logicals []int
-	mask     []uint64      // newScope's logical qubits, one bit each; zero between uses
-	gates    [2][]PhysGate // a step's compute layer; bipartiteGrid fills two at once
-	swaps    []graph.Edge  // a step's swap layer
-	layers   [1][]graph.Edge
-	pairs    [][2]int
-	busy     []bool // per physical qubit, all false between uses (see routeStragglers)
-	forks    [2]State
-	recs     [2]stepRecorder
+	sc     scope
+	among  wantedAmong   // newScope's and countLinear's walk
+	gates  [2][]PhysGate // a step's compute layer; bipartiteGrid fills two at once
+	swaps  []graph.Edge  // a step's swap layer
+	layers [1][]graph.Edge
+	pairs  [][2]int
+	busy   []bool // per physical qubit, all false between uses (see routeStragglers)
+	forks  [2]State
+	recs   [2]stepRecorder
+
+	// A counted line run's lines: each logical's line and starting
+	// position (line -1 when it is on none, as between uses), and one
+	// line's occupants after the run.
+	slots []lineSlot
+	occ   []int
 
 	// The region and line buffers of the sycamore, hexagon and heavy-hex
 	// patterns: a region's qubits, the lines of one round cut from the
@@ -433,48 +465,94 @@ type scope struct {
 }
 
 // newScope collects the wanted edges whose both endpoints currently reside
-// on the given physical qubits. It marks those logicals in a bit mask and
-// intersects each one's row of the want bitset with it, 64 bits at a time.
+// on the given physical qubits.
 func newScope(st *State, phys ...[]int) *scope {
 	b := st.scratch()
 	sc := &b.sc
+	sc.rel.reset(st.Want.n)
+	it := &b.among
+	it.start(st, phys)
+	for e, ok := it.next(); ok; e, ok = it.next() {
+		sc.rel.add(e)
+	}
+	it.end()
+	return sc
+}
+
+// wantedAmong walks the wanted edges whose both endpoints reside on a set
+// of physical qubits when the walk starts. It marks those qubits' logicals
+// in a bit mask and intersects each one's row of the want bitset with it,
+// 64 bits at a time: row by row in the order the logicals first appear,
+// each row in ascending V. Removing the edge just returned from the want
+// set does not disturb the walk. Its buffers live in the scratch, so a
+// State walks one set at a time.
+type wantedAmong struct {
+	w        *EdgeSet
+	mask     []uint64 // the set's logicals, one bit each; zero between walks
+	logicals []int
+	xi, x    int    // the next row's index in logicals, and the current row
+	y0       int    // the current chunk's first column
+	chunk    uint64 // the current chunk's members not yet returned
+}
+
+// start begins a walk over the logicals on phys.
+func (it *wantedAmong) start(st *State, phys [][]int) {
 	w := st.Want
 	n := w.n
-	sc.rel.reset(n)
 	mw := (n + 63) / 64
-	if cap(b.mask) < mw {
-		b.mask = make([]uint64, mw)
+	if cap(it.mask) < mw {
+		it.mask = make([]uint64, mw)
 	}
-	mask := b.mask[:mw]
-	logicals := b.logicals[:0]
+	it.w, it.mask = w, it.mask[:mw]
+	logicals := it.logicals[:0]
 	for _, ps := range phys {
 		for _, p := range ps {
-			if l := st.P2L[p]; l >= 0 && l < n && mask[l>>6]&(1<<(l&63)) == 0 {
-				mask[l>>6] |= 1 << (l & 63)
+			if l := st.P2L[p]; l >= 0 && l < n && it.mask[l>>6]&(1<<(l&63)) == 0 {
+				it.mask[l>>6] |= 1 << (l & 63)
 				logicals = append(logicals, l)
 			}
 		}
 	}
-	b.logicals = logicals
-	// Row x holds the edges (x, y), y > x, at bits x*n+y; its bits at
-	// y <= x are always zero. Mask bits at y >= n are zero, so a chunk
-	// running past the row's end adds nothing.
-	for _, x := range logicals {
-		row := x * n
-		for y0 := (x + 1) &^ 63; y0 < n; y0 += 64 {
-			m := mask[y0>>6]
-			if m == 0 {
-				continue
+	it.logicals = logicals
+	it.rewind()
+}
+
+// rewind restarts the walk from its first edge.
+func (it *wantedAmong) rewind() { it.xi, it.y0, it.chunk = 0, it.w.n, 0 }
+
+// end finishes the walk, clearing the mask.
+func (it *wantedAmong) end() { clear(it.mask) }
+
+// next returns the walk's next edge.
+func (it *wantedAmong) next() (graph.Edge, bool) {
+	if it.chunk == 0 && !it.refill() {
+		return graph.Edge{}, false
+	}
+	t := bits.TrailingZeros64(it.chunk)
+	it.chunk &= it.chunk - 1
+	return graph.Edge{U: it.x, V: it.y0 + t}, true
+}
+
+// refill loads the next chunk with members, reporting false at the end.
+// Row x holds the edges (x, y), y > x, at bits x*n+y; its bits at y <= x
+// are always zero. Mask bits at y >= n are zero, so a chunk running past
+// the row's end adds nothing.
+func (it *wantedAmong) refill() bool {
+	n := it.w.n
+	for {
+		for it.y0 += 64; it.y0 >= n; it.y0 = (it.x + 1) &^ 63 {
+			if it.xi == len(it.logicals) {
+				return false
 			}
-			chunk := bitsAt(w.bits, row+y0) & m
-			for chunk != 0 {
-				sc.rel.add(graph.Edge{U: x, V: y0 + bits.TrailingZeros64(chunk)})
-				chunk &= chunk - 1
+			it.x = it.logicals[it.xi]
+			it.xi++
+		}
+		if m := it.mask[it.y0>>6]; m != 0 {
+			if it.chunk = bitsAt(it.w.bits, it.x*n+it.y0) & m; it.chunk != 0 {
+				return true
 			}
 		}
 	}
-	clear(mask)
-	return sc
 }
 
 // bitsAt returns the 64 bits of ws starting at bit i (zeros past the end).
