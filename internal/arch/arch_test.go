@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -251,6 +252,54 @@ func TestHeavyHexNSizes(t *testing.T) {
 			t.Fatalf("HeavyHexN(%d) = %d qubits", n, a.N())
 		}
 		validatePath(t, a)
+	}
+}
+
+// heavyHexNOracle is HeavyHexN as it was when it built a device for every
+// improvement of the aspect gap.
+func heavyHexNOracle(n int) *Arch {
+	var best *Arch
+	bestGap := 1 << 30
+	for rows := 1; rows <= n; rows++ {
+		lo, hi := 2, 2*n
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if heavyHexCount(rows, mid) >= n {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if heavyHexCount(rows, lo) < n {
+			continue
+		}
+		if gap := aspectGap(rows, lo); best == nil || gap < bestGap {
+			best, bestGap = HeavyHex(rows, lo), gap
+		}
+		if 2*rows > lo {
+			break
+		}
+	}
+	if best == nil {
+		best = HeavyHex(1, max(2, n))
+	}
+	return best
+}
+
+// TestHeavyHexNMatchesOracle: building only the chosen shape gives the
+// device the build-every-improvement loop gave.
+func TestHeavyHexNMatchesOracle(t *testing.T) {
+	sizes := []int{0, 512, 1024}
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		got, want := HeavyHexN(n), heavyHexNOracle(n)
+		if got.Name != want.Name || got.N() != want.N() ||
+			!reflect.DeepEqual(got.G.Edges(), want.G.Edges()) || !reflect.DeepEqual(got.Path, want.Path) {
+			t.Fatalf("HeavyHexN(%d) = %s (%d qubits), oracle %s (%d qubits), or their edges or paths differ",
+				n, got.Name, got.N(), want.Name, want.N())
+		}
 	}
 }
 

@@ -138,9 +138,9 @@ func HeavyHex(rows, width int) *Arch {
 func HeavyHexN(n int) *Arch {
 	// rows*width row qubits plus (rows-1)*ceil(width/4) bridges. Pick the
 	// feasible configuration whose footprint is closest to square (rows are
-	// spaced by bridge layers, so width ~ 2*rows reads as square).
-	var best *Arch
-	bestGap := 1 << 30
+	// spaced by bridge layers, so width ~ 2*rows reads as square), then
+	// build it; a single row of n qubits when none is feasible.
+	bestRows, bestWidth, bestGap := 1, max(2, n), 1<<30
 	for rows := 1; rows <= n; rows++ {
 		lo, hi := 2, 2*n
 		for lo < hi {
@@ -154,17 +154,14 @@ func HeavyHexN(n int) *Arch {
 		if heavyHexCount(rows, lo) < n {
 			continue
 		}
-		if gap := aspectGap(rows, lo); best == nil || gap < bestGap {
-			best, bestGap = HeavyHex(rows, lo), gap
+		if gap := aspectGap(rows, lo); gap < bestGap {
+			bestRows, bestWidth, bestGap = rows, lo, gap
 		}
 		if 2*rows > lo {
 			break
 		}
 	}
-	if best == nil {
-		best = HeavyHex(1, max(2, n))
-	}
-	return best
+	return HeavyHex(bestRows, bestWidth)
 }
 
 func heavyHexCount(rows, width int) int {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -276,10 +278,10 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 		return NewCache(cachestore.NewTiered(store, 0))
 	}
 	// run sends one request per instance (relabeled by perm if non-nil)
-	// and returns the results and the slowest latency.
-	run := func(cache *Cache, phase string, perm func(n int) []int) ([]*Result, time.Duration) {
+	// and returns the results and each request's latency.
+	run := func(cache *Cache, phase string, perm func(n int) []int) ([]*Result, []time.Duration) {
 		out := make([]*Result, len(instances))
-		var slowest time.Duration
+		lat := make([]time.Duration, len(instances))
 		runtime.GC() // no phase pays for the previous phase's garbage
 		for i, in := range instances {
 			p := in.p
@@ -288,13 +290,24 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 			}
 			t0 := time.Now()
 			res, err := CompileCached(ctx, in.a, p, opts, cache)
-			slowest = max(slowest, time.Since(t0))
+			lat[i] = time.Since(t0)
 			if err != nil {
 				t.Fatalf("%s %s: %v", in.name, phase, err)
 			}
 			out[i] = res
 		}
-		return out, slowest
+		return out, lat
+	}
+	// p99 is the nearest-rank p99 of eight latencies, the slowest, and the
+	// instance that took it.
+	p99 := func(lat []time.Duration) (time.Duration, string) {
+		slow := 0
+		for i, d := range lat {
+			if d > lat[slow] {
+				slow = i
+			}
+		}
+		return lat[slow], instances[slow].name
 	}
 	assertNoCorruption := func(cache *Cache) {
 		if s := cache.Stats(); s.Corrupt+s.Result.Disk.Corrupt != 0 {
@@ -303,7 +316,7 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 	}
 
 	cold := open()
-	coldRes, coldP99 := run(cold, "cold", nil)
+	coldRes, coldLat := run(cold, "cold", nil)
 	for i, res := range coldRes {
 		if res.Stats.CacheTier != "" {
 			t.Fatalf("%s cold: served from tier %q of an empty directory", instances[i].name, res.Stats.CacheTier)
@@ -316,7 +329,7 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 
 	warm := open()
 	defer warm.Close()
-	warmRes, warmP99 := run(warm, "warm", nil)
+	warmRes, warmLat := run(warm, "warm", nil)
 	diskHits := 0
 	for i, res := range warmRes {
 		assertSameResult(t, instances[i].name, "warm", coldRes[i], res)
@@ -325,7 +338,7 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(7))
-	isoRes, _ := run(warm, "isomorphic", rng.Perm)
+	isoRes, isoLat := run(warm, "isomorphic", rng.Perm)
 	isoHits := 0
 	for _, res := range isoRes {
 		if res.Stats.CacheTier != "" {
@@ -334,19 +347,29 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 	}
 	assertNoCorruption(warm)
 
+	// Every failure below lists each instance's latency and cache tier per
+	// phase, so it names the request that was slow or missed.
+	var per strings.Builder
+	for i, in := range instances {
+		fmt.Fprintf(&per, "\n  %-20s cold %9v  warm %9v tier %-5q  isomorphic %9v tier %q",
+			in.name, coldLat[i], warmLat[i], warmRes[i].Stats.CacheTier, isoLat[i], isoRes[i].Stats.CacheTier)
+	}
+	coldP99, coldSlow := p99(coldLat)
+	warmP99, warmSlow := p99(warmLat)
 	diskRate := float64(diskHits) / float64(len(instances))
 	isoRate := float64(isoHits) / float64(len(instances))
 	speedup := float64(coldP99) / float64(warmP99)
-	t.Logf("cold p99 %v, warm p99 %v (%.1fx); disk hit rate %.2f, isomorphic hit rate %.2f",
-		coldP99, warmP99, speedup, diskRate, isoRate)
+	t.Logf("cold p99 %v (%s), warm p99 %v (%s), %.1fx; disk hit rate %.2f, isomorphic hit rate %.2f",
+		coldP99, coldSlow, warmP99, warmSlow, speedup, diskRate, isoRate)
 	if diskRate < 0.8 {
-		t.Fatalf("disk hit rate %.2f under the 0.80 floor", diskRate)
+		t.Fatalf("disk hit rate %.2f under the 0.80 floor:%s", diskRate, per.String())
 	}
 	if isoRate < 1 {
-		t.Fatalf("isomorphic hit rate %.2f, want 1.00: canonical hashing is leaking entries", isoRate)
+		t.Fatalf("isomorphic hit rate %.2f, want 1.00: canonical hashing is leaking entries:%s", isoRate, per.String())
 	}
 	if speedup < 2 {
-		t.Fatalf("warm p99 speedup %.2fx under the 2x floor (cold %v, warm %v)", speedup, coldP99, warmP99)
+		t.Fatalf("warm p99 speedup %.2fx under the 2x floor (cold %v on %s, warm %v on %s):%s",
+			speedup, coldP99, coldSlow, warmP99, warmSlow, per.String())
 	}
 }
 

@@ -433,9 +433,13 @@ func (p *predictor) emit(s swapnet.Step) {
 func (p *predictor) Reset(k int) { p.shadow[k] = p.cur }
 
 // Add implements swapnet.Bound: it folds s into slot k's shadow exactly as
-// emit folds it into the current pass, so a replay of the same steps stops
-// st at the step where the shadow lost.
+// emit folds it into the current pass, so the shadow's cost is bit for bit
+// the running cost emitting the same steps would reach.
 func (p *predictor) Add(k int, s swapnet.Step) (float64, bool) { return p.add(&p.shadow[k], s) }
+
+// Take implements swapnet.Bound: slot k's shadow becomes the current
+// pass's sums.
+func (p *predictor) Take(k int) { p.cur = p.shadow[k] }
 
 // AddRound implements swapnet.RoundSink for a noise-free predictor: it
 // folds a counted round of one cycle and cx CX into the current pass

@@ -137,10 +137,9 @@ func snakeBeatsGrid(stG, stS *State, cg, cs Counter) bool {
 }
 
 // gridDual runs the grid dual prediction over the normalised region and
-// emits the winner's steps. The candidates run on scratch copies of st,
-// recording their steps, and the winner's final state becomes st's while
-// its recorded steps are replayed. Under st.Bound a copy stops as soon as
-// its shadow has lost. The snake runs first:
+// lands the winner on st. The candidates run on scratch copies of st under
+// pricers that count them, and under st.Bound a copy stops as soon as its
+// shadow has lost. The snake runs first:
 //
 //   - if it has not lost, the decision is the full dual's: when the snake
 //     leaves wanted edges behind the structured pattern wins whatever it
@@ -148,16 +147,18 @@ func snakeBeatsGrid(stG, stS *State, cg, cs Counter) bool {
 //     on a copy that stops once its cycles exceed the snake's, since
 //     snakeBeatsGrid can then only pick the snake;
 //   - if it has lost, the structured pattern runs under the Bound too.
-//     When both have lost, the one with the lower cost at its loss is
-//     replayed and the sink stops st at that step. When only the snake
-//     has lost it must be run out, unbounded, to apply snakeBeatsGrid:
-//     capped at the structured pattern's cycles when that pattern emptied
-//     the want set, as only a snake within them can win then.
+//     When both have lost, the one with the lower cost at its loss wins.
+//     When only the snake has lost it must be run out, unbounded, to apply
+//     snakeBeatsGrid: capped at the structured pattern's cycles when that
+//     pattern emptied the want set, as only a snake within them can win
+//     then.
 //
-// Replaying a lost candidate makes the sink stop st at the step where its
-// shadow lost, so a bounded dual emits a prefix of the full dual's winner
-// whenever the sink never stops, and otherwise a prefix of a candidate
-// whose cost has reached the bound.
+// A winner priced under the Bound is taken (see take): its shadow holds
+// the sums emitting its steps would leave, and a lost shadow stops st
+// where emitting them would. Any other winner runs again on st. So a
+// bounded dual lands the full dual's winner whenever the sink never
+// stops, and otherwise a prefix of a candidate whose cost has reached the
+// bound.
 func gridDual(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 	stS, rs := st.candidate(1, region, c, st.Bound, -1)
 	if !rs.lost {
@@ -166,19 +167,22 @@ func gridDual(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 			return
 		}
 		stG, rg := st.candidate(0, region, c, nil, rs.c.Cycles)
-		if stG.stopped || snakeBeatsGrid(stG, stS, rg.c, rs.c) {
-			st.replay(stS, rs, emit)
-		} else {
-			st.replay(stG, rg, emit)
+		switch {
+		case !stG.stopped && !snakeBeatsGrid(stG, stS, rg.c, rs.c):
+			gridATA(st, region, emit, c)
+		case st.Bound != nil:
+			st.take(stS, rs)
+		default:
+			snakeATA(st, region, emit, c)
 		}
 		return
 	}
 	stG, rg := st.candidate(0, region, c, st.Bound, -1)
 	if rg.lost {
 		if rs.cost <= rg.cost {
-			st.replay(stS, rs, emit)
+			st.take(stS, rs)
 		} else {
-			st.replay(stG, rg, emit)
+			st.take(stG, rg)
 		}
 		return
 	}
@@ -188,18 +192,18 @@ func gridDual(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 	}
 	stS, rs = st.candidate(1, region, c, nil, maxCycles)
 	if !stS.stopped && snakeBeatsGrid(stG, stS, rg.c, rs.c) {
-		st.replay(stS, rs, emit)
+		snakeATA(st, region, emit, c)
 	} else {
-		st.replay(stG, rg, emit)
+		st.take(stG, rg)
 	}
 }
 
 // candidate runs one grid dual candidate, the structured pattern (k = 0)
-// or the snake (k = 1), on scratch copy k of st and records its steps in
-// recorder k. The copy stops once its cycles exceed maxCycles (< 0: never)
-// or, under a non-nil bound, once its shadow in slot k has lost.
-func (st *State) candidate(k int, region arch.Region, c *PatternCache, bound Bound, maxCycles int) (*State, *stepRecorder) {
-	f, r := st.record(k, bound, maxCycles)
+// or the snake (k = 1), on scratch copy k of st under pricer k. The copy
+// stops once its cycles exceed maxCycles (< 0: never) or, under a non-nil
+// bound, once its shadow in slot k has lost.
+func (st *State) candidate(k int, region arch.Region, c *PatternCache, bound Bound, maxCycles int) (*State, *pricer) {
+	f, r := st.priced(k, bound, maxCycles)
 	if k == 1 {
 		snakeATA(f, region, r.emit, c)
 	} else {
@@ -208,32 +212,85 @@ func (st *State) candidate(k int, region arch.Region, c *PatternCache, bound Bou
 	return f, r
 }
 
-// record makes scratch copy k of st with recorder k as its sink, which
-// stops the copy once its cycles exceed maxCycles (< 0: never) or, under
-// a non-nil bound, once its shadow in slot k has lost. The copy counts its
-// line runs' rounds into the recorder when st counts them into Rounds.
-func (st *State) record(k int, bound Bound, maxCycles int) (*State, *stepRecorder) {
+// priced makes scratch copy k of st with pricer k as its sink, which stops
+// the copy once its cycles exceed maxCycles (< 0: never) or, under a
+// non-nil bound, once its shadow in slot k has lost. The copy counts its
+// line runs' rounds into the pricer when st counts them into Rounds.
+func (st *State) priced(k int, bound Bound, maxCycles int) (*State, *pricer) {
 	f := st.fork(k)
-	r := &st.scr.recs[k]
-	r.reset(f, maxCycles, bound, k)
-	f.Rounds, f.rec = st.Rounds, r
+	r := &st.scr.cands[k]
+	*r = pricer{stop: f, maxCycles: maxCycles, bound: bound, slot: k}
+	if bound != nil {
+		bound.Reset(k)
+	}
+	f.Rounds, f.cand = st.Rounds, r
 	return f, r
 }
 
-// replay takes over winner's final state and emits its recorded steps,
-// and folds its counted rounds into st's Rounds sink, until the sink stops
-// st.
-func (st *State) replay(winner *State, rec *stepRecorder, emit EmitFunc) {
-	winner.copyTo(st)
-	for i, s := range rec.steps {
-		if st.stopped {
-			return
-		}
-		if cx := rec.counted[i]; cx > 0 {
-			st.countRound(cx)
-		} else {
-			emit(s)
-		}
+// take lands the candidate run on copy f under pricer r, priced under
+// st's Bound, on st: the Bound takes its shadow as the sink's running
+// sums, and st then stops if the shadow lost and otherwise takes over f's
+// state. The shadow started from the sums emitting the candidate's steps
+// would start from and added the same terms in the same order, so taking
+// it leaves the sums bit for bit, and a lost shadow is a run the sink
+// stops at the step where it lost.
+func (st *State) take(f *State, r *pricer) {
+	r.bound.Take(r.slot)
+	if r.lost {
+		st.Stop()
+		return
+	}
+	f.copyTo(st)
+}
+
+// pricer is a grid dual candidate's sink on scratch copy stop: it counts
+// the copy's steps and counted rounds in c, and stops the copy once the
+// counted cycles exceed maxCycles (if maxCycles >= 0) or once bound
+// reports slot's shadow lost; lost and cost then hold that loss and the
+// shadow's cost at it. It keeps no step.
+type pricer struct {
+	c         Counter
+	stop      *State
+	maxCycles int
+	bound     Bound
+	slot      int
+	lost      bool
+	cost      float64
+}
+
+func (r *pricer) emit(s Step) {
+	r.c.Emit(s)
+	r.checkCycles()
+	if r.bound != nil {
+		r.price(r.bound.Add(r.slot, s))
+	}
+}
+
+// round counts a counted round of cx CX: one cycle, priced in the bound's
+// shadow through the stop State's Rounds sink.
+func (r *pricer) round(cx int) {
+	r.c.Steps++
+	r.c.Cycles++
+	r.c.CX += cx
+	r.checkCycles()
+	if r.bound != nil {
+		r.price(r.stop.Rounds.AddRound(r.slot, cx))
+	}
+}
+
+// checkCycles stops the stop State once the counted cycles exceed
+// maxCycles.
+func (r *pricer) checkCycles() {
+	if r.maxCycles >= 0 && r.c.Cycles > r.maxCycles {
+		r.stop.Stop()
+	}
+}
+
+// price takes the shadow's cost after a step or round, and stops the stop
+// State when it has lost.
+func (r *pricer) price(cost float64, lost bool) {
+	if r.cost, r.lost = cost, lost; lost {
+		r.stop.Stop()
 	}
 }
 

@@ -14,13 +14,16 @@ import (
 // compiler's predictor: its running total starts at base and adds each
 // step's weighted cycles and CX, and it stops the State at the first step
 // where the total reaches limit. As the State's Bound it prices the grid
-// dual's candidates in shadow with the same additions.
+// dual's candidates in shadow with the same additions, keeping the steps
+// each shadow priced, and Take counts a shadow's steps as emitted, so
+// steps holds every step the sink's total stands for.
 type limitSink struct {
 	st           *State
 	wCycles, wCX float64
 	limit        float64
 	cur          float64
 	shadow       [2]float64
+	priced       [2][]Step
 	steps        []Step
 }
 
@@ -30,11 +33,17 @@ func (b *limitSink) price(s Step) float64 {
 	return b.wCycles*float64(c.Cycles) + b.wCX*float64(c.CX)
 }
 
-func (b *limitSink) Reset(k int) { b.shadow[k] = b.cur }
+func (b *limitSink) Reset(k int) { b.shadow[k], b.priced[k] = b.cur, nil }
 
 func (b *limitSink) Add(k int, s Step) (float64, bool) {
+	b.priced[k] = append(b.priced[k], copyStep(s))
 	b.shadow[k] += b.price(s)
 	return b.shadow[k], b.shadow[k] >= b.limit
+}
+
+func (b *limitSink) Take(k int) {
+	b.cur = b.shadow[k]
+	b.steps = append(b.steps, b.priced[k]...)
 }
 
 func (b *limitSink) emit(s Step) {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
-	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/lru"
 )
 
@@ -207,101 +206,4 @@ func restrictSnake(a *arch.Arch, region arch.Region) ([]int, bool) {
 		}
 	}
 	return seg, len(seg) >= 2
-}
-
-// stepRecorder buffers emitted steps while counting them. Emitted slices
-// are valid only during the emit call (EmitFunc), so it copies each step
-// into flat arenas; the recorded steps stay valid for its lifetime. It
-// also takes the counted rounds of its stop State's line runs (round),
-// recording each as an empty step whose CX is in counted. With a stop
-// State it stops that State once the counted cycles exceed maxCycles (if
-// maxCycles >= 0) or once bound reports slot's shadow lost; lost and cost
-// then hold that loss and the shadow's cost at it.
-type stepRecorder struct {
-	steps     []Step
-	counted   []int // per step: the CX of a counted round, or 0
-	gates     []PhysGate
-	edges     []graph.Edge
-	layers    [][]graph.Edge
-	c         Counter
-	stop      *State
-	maxCycles int
-	bound     Bound
-	slot      int
-	lost      bool
-	cost      float64
-}
-
-// reset empties the recorder and sets its stopping rules (stop may be
-// nil, and bound may be nil), starting the bound's shadow for slot.
-func (r *stepRecorder) reset(stop *State, maxCycles int, bound Bound, slot int) {
-	r.steps, r.counted = r.steps[:0], r.counted[:0]
-	r.gates, r.edges, r.layers = r.gates[:0], r.edges[:0], r.layers[:0]
-	r.c = Counter{}
-	r.stop, r.maxCycles, r.bound, r.slot = stop, maxCycles, bound, slot
-	r.lost, r.cost = false, 0
-	if bound != nil {
-		bound.Reset(slot)
-	}
-}
-
-func (r *stepRecorder) emit(s Step) {
-	r.c.Emit(s)
-	if r.stop != nil {
-		r.checkCycles()
-		if r.bound != nil {
-			r.price(r.bound.Add(r.slot, s))
-		}
-	}
-	r.counted = append(r.counted, 0)
-	rec := Step{ParallelSwaps: s.ParallelSwaps}
-	if len(s.Compute) > 0 {
-		i := len(r.gates)
-		r.gates = append(r.gates, s.Compute...)
-		rec.Compute = r.gates[i:len(r.gates):len(r.gates)]
-	}
-	if len(s.Swaps) > 0 {
-		li := len(r.layers)
-		for _, l := range s.Swaps {
-			var cp []graph.Edge
-			if len(l) > 0 {
-				i := len(r.edges)
-				r.edges = append(r.edges, l...)
-				cp = r.edges[i:len(r.edges):len(r.edges)]
-			}
-			r.layers = append(r.layers, cp)
-		}
-		rec.Swaps = r.layers[li:len(r.layers):len(r.layers)]
-	}
-	r.steps = append(r.steps, rec)
-}
-
-// round records a counted round of cx CX: one cycle, priced in the
-// bound's shadow through the stop State's Rounds sink.
-func (r *stepRecorder) round(cx int) {
-	r.c.Steps++
-	r.c.Cycles++
-	r.c.CX += cx
-	r.checkCycles()
-	if r.bound != nil {
-		r.price(r.stop.Rounds.AddRound(r.slot, cx))
-	}
-	r.steps = append(r.steps, Step{})
-	r.counted = append(r.counted, cx)
-}
-
-// checkCycles stops the stop State once the counted cycles exceed
-// maxCycles.
-func (r *stepRecorder) checkCycles() {
-	if r.maxCycles >= 0 && r.c.Cycles > r.maxCycles {
-		r.stop.Stop()
-	}
-}
-
-// price takes the shadow's cost after a step or round, and stops the stop
-// State when it has lost.
-func (r *stepRecorder) price(cost float64, lost bool) {
-	if r.cost, r.lost = cost, lost; lost {
-		r.stop.Stop()
-	}
 }

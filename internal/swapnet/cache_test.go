@@ -23,6 +23,11 @@ func cacheTestArchs() []*arch.Arch {
 	}
 }
 
+// stepLog is a sink that keeps a copy of every emitted step.
+type stepLog []Step
+
+func (l *stepLog) emit(s Step) { *l = append(*l, copyStep(s)) }
+
 // randomRegion returns the enclosing region of a random non-empty subset of
 // physical qubits — the same construction detectRegions uses, so the
 // sampled regions are exactly the shapes the compiler feeds the cache.
@@ -48,19 +53,19 @@ func TestCachedATAMatchesUncached(t *testing.T) {
 		region := randomRegion(rng, a)
 
 		ref := NewState(a, nLogical, initial, p)
-		var refRec stepRecorder
-		if err := ATA(ref, region, refRec.emit); err != nil {
+		var refLog stepLog
+		if err := ATA(ref, region, refLog.emit); err != nil {
 			t.Fatalf("trial %d (%s): uncached: %v", trial, a.Name, err)
 		}
 		for pass, label := range []string{"cold", "warm"} {
 			st := NewState(a, nLogical, initial, p)
-			var rec stepRecorder
-			if err := ATAWithCache(st, region, rec.emit, cache); err != nil {
+			var log stepLog
+			if err := ATAWithCache(st, region, log.emit, cache); err != nil {
 				t.Fatalf("trial %d (%s) %s: %v", trial, a.Name, label, err)
 			}
-			if !reflect.DeepEqual(refRec.steps, rec.steps) {
+			if !reflect.DeepEqual(refLog, log) {
 				t.Fatalf("trial %d (%s) %s pass: step sequence diverges from uncached ATA (%d vs %d steps)",
-					trial, a.Name, label, len(rec.steps), len(refRec.steps))
+					trial, a.Name, label, len(log), len(refLog))
 			}
 			if !reflect.DeepEqual(ref.L2P, st.L2P) || ref.Want.Len() != st.Want.Len() {
 				t.Fatalf("trial %d (%s) %s pass: final state diverges", trial, a.Name, label)
@@ -104,7 +109,7 @@ func TestCacheConcurrentHits(t *testing.T) {
 		n       int
 		initial []int
 		region  arch.Region
-		steps   []Step
+		steps   stepLog
 	}
 	archs := cacheTestArchs()
 	rng := rand.New(rand.NewSource(23))
@@ -116,11 +121,11 @@ func TestCacheConcurrentHits(t *testing.T) {
 		initial := randomMapping(rng, n, a.N())
 		region := randomRegion(rng, a)
 		st := NewState(a, n, initial, p)
-		var rec stepRecorder
-		if err := ATA(st, region, rec.emit); err != nil {
+		var log stepLog
+		if err := ATA(st, region, log.emit); err != nil {
 			t.Fatal(err)
 		}
-		items = append(items, workItem{a: a, p: p, n: n, initial: initial, region: region, steps: rec.steps})
+		items = append(items, workItem{a: a, p: p, n: n, initial: initial, region: region, steps: log})
 	}
 	cache := NewPatternCache(0)
 	const goroutines = 16
@@ -136,12 +141,12 @@ func TestCacheConcurrentHits(t *testing.T) {
 				for k := range items {
 					it := items[(k+g)%len(items)]
 					st := NewState(it.a, it.n, it.initial, it.p)
-					var rec stepRecorder
-					if err := ATAWithCache(st, it.region, rec.emit, cache); err != nil {
+					var log stepLog
+					if err := ATAWithCache(st, it.region, log.emit, cache); err != nil {
 						errs <- err
 						return
 					}
-					if !reflect.DeepEqual(it.steps, rec.steps) {
+					if !reflect.DeepEqual(it.steps, log) {
 						errs <- fmt.Errorf("goroutine %d: cached emission diverges on %s", g, it.a.Name)
 						return
 					}

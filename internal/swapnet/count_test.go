@@ -19,13 +19,14 @@ type sums struct{ cycles, cx int }
 // counted round) where its running pass loses. As a Bound it prices the
 // grid dual's shadows with the same additions, and as a RoundSink it takes
 // counted rounds as steps of one cycle. folds counts the steps and rounds
-// folded into the running pass.
+// folded into the running pass, and a taken shadow's count with them.
 type priceSink struct {
 	st                        *State
 	base, wCycles, wCX, limit float64
 	cur                       sums
 	shadow                    [2]sums
 	folds                     int
+	shadowFolds               [2]int
 }
 
 func (p *priceSink) cost(s sums) float64 {
@@ -39,16 +40,23 @@ func (p *priceSink) fold(s *sums, cycles, cx int) (float64, bool) {
 	return f, f >= p.limit
 }
 
-func (p *priceSink) Reset(k int) { p.shadow[k] = p.cur }
+func (p *priceSink) Reset(k int) { p.shadow[k], p.shadowFolds[k] = p.cur, 0 }
 
 func (p *priceSink) Add(k int, s Step) (float64, bool) {
 	var c Counter
 	c.Emit(s)
+	p.shadowFolds[k]++
 	return p.fold(&p.shadow[k], c.Cycles, c.CX)
+}
+
+func (p *priceSink) Take(k int) {
+	p.cur = p.shadow[k]
+	p.folds += p.shadowFolds[k]
 }
 
 func (p *priceSink) AddRound(k, cx int) (float64, bool) {
 	if k >= 0 {
+		p.shadowFolds[k]++
 		return p.fold(&p.shadow[k], 1, cx)
 	}
 	p.folds++
@@ -80,7 +88,7 @@ type lineCase struct {
 	wCycles     float64
 	wCX         float64
 	frac        float64 // the limit is base + frac * the uncut run's increment
-	maxCycles   int     // the recorder's cycle cap (< 0: none)
+	maxCycles   int     // the pricer's cycle cap (< 0: none)
 }
 
 // lineCaseOf derives a comparison input: shape picks the number of lines
@@ -137,14 +145,14 @@ func lineCaseOf(seed int64, shape, maxLen uint8, density, frac float64) lineCase
 }
 
 // lineOutcome is what a run of a lineCase leaves: the sink's running pass,
-// its folds and whether it stopped the State; through a recorder, the
-// recorder's counts, loss and shadow cost; and, for a run the sink did not
+// its folds and whether it stopped the State; through a pricer, the
+// pricer's counts, loss and shadow cost; and, for a run the sink did not
 // stop, the placement, want set and caller scope.
 type lineOutcome struct {
 	cur      sums
 	folds    int
 	stopped  bool
-	recorded sums
+	priced   sums
 	steps    int
 	lost     bool
 	cost     float64
@@ -154,9 +162,9 @@ type lineOutcome struct {
 }
 
 // runLine runs c's lines once, counted (the State has a Rounds sink) or
-// simulated, directly into the sink or through a grid dual candidate's
-// recorder replayed into it.
-func runLine(c lineCase, counted, viaRecorder bool) lineOutcome {
+// simulated, directly into the sink or on a grid dual candidate's priced
+// copy whose shadow the sink then takes.
+func runLine(c lineCase, counted, viaPricer bool) lineOutcome {
 	st := NewState(c.a, c.n, c.initial, c.p)
 	sink := &priceSink{st: st, base: c.base, wCycles: c.wCycles, wCX: c.wCX}
 	var ref Counter
@@ -178,18 +186,18 @@ func runLine(c lineCase, counted, viaRecorder bool) lineOutcome {
 		return opts.sc
 	}
 	var sc *scope
-	if viaRecorder {
+	if viaPricer {
 		st.Bound = sink
-		f, r := st.record(1, sink, c.maxCycles)
+		f, r := st.priced(1, sink, c.maxCycles)
 		sc = run(f, r.emit)
-		out.recorded, out.steps = sums{r.c.Cycles, r.c.CX}, len(r.steps)
+		out.priced, out.steps = sums{r.c.Cycles, r.c.CX}, r.c.Steps
 		out.lost, out.cost = r.lost, r.cost
 		if f.stopped && !r.lost {
-			// Stopped by the cycle cap: the grid dual never replays it.
+			// Stopped by the cycle cap: the grid dual never takes it.
 			out.stopped = true
 			return out
 		}
-		st.replay(f, r, sink.emit)
+		st.take(f, r)
 	} else {
 		sc = run(st, sink.emit)
 	}
@@ -204,17 +212,17 @@ func runLine(c lineCase, counted, viaRecorder bool) lineOutcome {
 }
 
 // checkCountedLine compares the counted and the simulated run of c, both
-// directly and through a recorder, and reports whether the sink stopped
+// directly and through a pricer, and reports whether the sink stopped
 // the direct run and whether the direct run exhausted a scope early.
 func checkCountedLine(t *testing.T, c lineCase) (cut, early bool) {
 	t.Helper()
-	for _, viaRecorder := range []bool{false, true} {
-		sim, cnt := runLine(c, false, viaRecorder), runLine(c, true, viaRecorder)
+	for _, viaPricer := range []bool{false, true} {
+		sim, cnt := runLine(c, false, viaPricer), runLine(c, true, viaPricer)
 		if !reflect.DeepEqual(sim, cnt) {
-			t.Fatalf("lines %v rounds %d preserve %v scope %v recorder %v:\nsimulated %+v\ncounted   %+v",
-				lineLens(c.lines), c.opts.rounds, c.opts.preserveDynamics, c.scopeQubits != nil, viaRecorder, sim, cnt)
+			t.Fatalf("lines %v rounds %d preserve %v scope %v pricer %v:\nsimulated %+v\ncounted   %+v",
+				lineLens(c.lines), c.opts.rounds, c.opts.preserveDynamics, c.scopeQubits != nil, viaPricer, sim, cnt)
 		}
-		if !viaRecorder {
+		if !viaPricer {
 			cut, early = sim.stopped, !sim.stopped && sim.cur.cycles+1 < swappingRounds(c)
 		}
 	}

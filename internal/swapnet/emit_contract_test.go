@@ -81,7 +81,7 @@ func TestEmitContract(t *testing.T) {
 				p := graph.Gnp(n, 0.2+0.7*rng.Float64(), rng)
 				initial := randomMapping(rng, n, fam.a.N())
 				// Cached families run twice on one cache: the first pass
-				// misses and replays recorded steps, the second hits.
+				// misses, the second hits.
 				var cache, scribbleCache *PatternCache
 				passes := 1
 				if fam.cached {
@@ -120,7 +120,7 @@ func TestEmitContract(t *testing.T) {
 // sink that stops the State after its k-th step receives exactly the
 // first k steps of the unstopped run, and a stopped State runs no further
 // pattern. Every family runs uncached and through a cache, including the
-// grid dual's replay path.
+// grid dual, whose winner runs again on the stopped State.
 func TestStopEmitsPrefix(t *testing.T) {
 	families := []*arch.Arch{
 		arch.Line(12), arch.Grid(5, 5), arch.Sycamore(4, 4),

@@ -129,7 +129,7 @@ type lineSlot struct{ line, pos int32 }
 //     and never while it holds a pair that is not wanted, not on one line,
 //     or meets only after the last round.
 //
-// Each round is folded into the sink (or the candidate recorder) in turn,
+// Each round is folded into the sink (or the candidate's pricer) in turn,
 // exactly when the simulated run would emit its step, so the sink stops
 // st at the same round with the same sums. A stopped run leaves st as it
 // was, which is as good as any mid-pattern State for discarding. A run
@@ -214,10 +214,10 @@ func (st *State) nextMeeting(sc *scope, at *int, lines [][]int, rounds int) (int
 }
 
 // countRound folds a counted round of cx CX into st's sink, or into its
-// candidate recorder, and reports whether that stopped st.
+// candidate's pricer, and reports whether that stopped st.
 func (st *State) countRound(cx int) bool {
-	if st.rec != nil {
-		st.rec.round(cx)
+	if st.cand != nil {
+		st.cand.round(cx)
 	} else if _, lost := st.Rounds.AddRound(-1, cx); lost {
 		st.Stop()
 	}

@@ -194,17 +194,20 @@ func (s Step) Depth() int {
 type EmitFunc func(Step)
 
 // Bound prices a grid dual candidate while it runs on a scratch copy, so a
-// copy that has already lost can stop early. Slot k (0 for the structured
-// pattern, 1 for the snake) is a shadow of the sink's running totals:
-// Reset(k) starts it from the sink's current sums, and Add(k, s) folds
-// step s into it without counting it, returning the shadow's cost and
-// whether that cost has lost. Add must fold a step exactly as the sink
-// folds an emitted one, with the same additions in the same order, so that
-// replaying a copy's recorded steps stops the State at the very step where
-// its shadow lost.
+// copy that has already lost can stop early and a priced winner need not
+// run again. Slot k (0 for the structured pattern, 1 for the snake) is a
+// shadow of the sink's running sums: Reset(k) starts it from the sink's
+// current sums, Add(k, s) folds step s into it without counting it,
+// returning the shadow's cost and whether that cost has lost, and Take(k)
+// makes it the sink's running sums, in place of emitting the candidate's
+// steps. Add must fold a step exactly as the sink folds an emitted one,
+// with the same additions in the same order, so that a taken shadow holds
+// the sums the emitted steps would leave, and a lost one stands for a run
+// the sink would have stopped at the step where it lost.
 type Bound interface {
 	Reset(k int)
 	Add(k int, s Step) (cost float64, lost bool)
+	Take(k int)
 }
 
 // RoundSink is a noise-free sink that takes a line run's rounds as counts
@@ -225,21 +228,23 @@ type State struct {
 	L2P  []int // logical -> physical
 	P2L  []int // physical -> logical; -1 for empty slots
 	Want *EdgeSet
-	// Bound, when set, cuts the grid dual's candidate runs (see gridDual);
-	// nil runs every candidate to its end.
+	// Bound, when set, prices the grid dual's candidate runs and cuts a
+	// lost one, and takes a priced winner's shadow instead of emitting its
+	// steps (see gridDual); nil runs every candidate to its end and the
+	// winner again on st.
 	Bound Bound
 	// Rounds, when set, is the sink the patterns run on st emit to, and
 	// it prices without noise: a line run with no extraLayer then folds
 	// each round into it as a count, and moves st only if the sink never
 	// stops it (see countLinear). With Bound set as well, Rounds prices
 	// Bound's shadows. A grid dual's scratch copy keeps the original's
-	// Rounds, and its recorder takes the counted rounds and replays them
-	// into it. Nil simulates every round.
+	// Rounds, and its pricer takes the counted rounds and prices them in
+	// the shadow. Nil simulates every round.
 	Rounds RoundSink
 
-	stopped bool          // set by Stop; see halted
-	scr     *scratch      // pattern buffers; shared only with st's own forks
-	rec     *stepRecorder // a grid dual candidate's recorder, which takes its counted rounds
+	stopped bool     // set by Stop; see halted
+	scr     *scratch // pattern buffers; shared only with st's own forks
+	cand    *pricer  // a grid dual candidate's pricer, which takes its counted rounds
 }
 
 // Stop ends the pattern advancing st: it emits no step after the current
@@ -259,8 +264,8 @@ func (st *State) halted(sc *scope) bool { return st.stopped || sc.done() }
 
 // scratch is the memory a State's patterns reuse instead of allocating per
 // round: the one live scope, the buffers every emitted Step is built in,
-// the two State copies and step recorders of the grid dual prediction, and
-// the per-pattern buffers below.
+// the two State copies and pricers of the grid dual prediction, and the
+// per-pattern buffers below.
 // ATAWithCache borrows one from scratchPool for the duration of the call.
 type scratch struct {
 	sc     scope
@@ -271,7 +276,7 @@ type scratch struct {
 	pairs  [][2]int
 	busy   []bool // per physical qubit, all false between uses (see routeStragglers)
 	forks  [2]State
-	recs   [2]stepRecorder
+	cands  [2]pricer
 
 	// A counted line run's lines: each logical's line and starting
 	// position (line -1 when it is on none, as between uses), and one
