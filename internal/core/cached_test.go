@@ -248,7 +248,13 @@ func TestCompileCachedDifferentialSuite(t *testing.T) {
 // least 80% of warm requests must come off disk, every relabeled request
 // must hit, and the warm p99 must be at least 2x better than the cold p99.
 // With eight requests per phase the nearest-rank p99 is the slowest one.
+//
+// A single request's latency swings with the machine's other load, so each
+// instance's cold and warm latency is its fastest of reps: the cold pass
+// runs over reps fresh directories, and the warm pass reopens each of them
+// once.
 func TestCompileCachedWarmRestart(t *testing.T) {
+	const reps = 3
 	type inst struct {
 		name string
 		a    *arch.Arch
@@ -269,8 +275,7 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 	}
 	ctx := context.Background()
 	opts := Options{Workers: 1} // the daemon's default request path
-	dir := t.TempDir()
-	open := func() *Cache {
+	open := func(dir string) *Cache {
 		store, err := cachestore.Open(dir, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -315,28 +320,63 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 		}
 	}
 
-	cold := open()
-	coldRes, coldLat := run(cold, "cold", nil)
-	for i, res := range coldRes {
-		if res.Stats.CacheTier != "" {
-			t.Fatalf("%s cold: served from tier %q of an empty directory", instances[i].name, res.Stats.CacheTier)
+	// fastest keeps each instance's fastest latency in best.
+	fastest := func(best, lat []time.Duration) []time.Duration {
+		if best == nil {
+			return lat
 		}
-	}
-	assertNoCorruption(cold)
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
+		for i, d := range lat {
+			best[i] = min(best[i], d)
+		}
+		return best
 	}
 
-	warm := open()
-	defer warm.Close()
-	warmRes, warmLat := run(warm, "warm", nil)
-	diskHits := 0
-	for i, res := range warmRes {
-		assertSameResult(t, instances[i].name, "warm", coldRes[i], res)
-		if res.Stats.CacheTier == string(cachestore.TierDisk) {
-			diskHits++
+	var dirs []string
+	var coldRes []*Result
+	var coldLat []time.Duration
+	for r := 0; r < reps; r++ {
+		dirs = append(dirs, t.TempDir())
+		cold := open(dirs[r])
+		res, lat := run(cold, "cold", nil)
+		for i := range res {
+			if res[i].Stats.CacheTier != "" {
+				t.Fatalf("%s cold: served from tier %q of an empty directory", instances[i].name, res[i].Stats.CacheTier)
+			}
+			if coldRes != nil {
+				assertSameResult(t, instances[i].name, "cold repeat", coldRes[i], res[i])
+			}
 		}
+		assertNoCorruption(cold)
+		if err := cold.Close(); err != nil {
+			t.Fatal(err)
+		}
+		coldRes, coldLat = res, fastest(coldLat, lat)
 	}
+
+	var warm *Cache
+	var warmRes []*Result
+	var warmLat []time.Duration
+	diskHits := 0
+	for r, dir := range dirs {
+		if warm != nil {
+			if err := warm.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warm = open(dir)
+		res, lat := run(warm, "warm", nil)
+		for i := range res {
+			assertSameResult(t, instances[i].name, "warm", coldRes[i], res[i])
+			if res[i].Stats.CacheTier == string(cachestore.TierDisk) {
+				diskHits++
+			}
+		}
+		if r < reps-1 {
+			assertNoCorruption(warm)
+		}
+		warmRes, warmLat = res, fastest(warmLat, lat)
+	}
+	defer warm.Close()
 	rng := rand.New(rand.NewSource(7))
 	isoRes, isoLat := run(warm, "isomorphic", rng.Perm)
 	isoHits := 0
@@ -356,7 +396,7 @@ func TestCompileCachedWarmRestart(t *testing.T) {
 	}
 	coldP99, coldSlow := p99(coldLat)
 	warmP99, warmSlow := p99(warmLat)
-	diskRate := float64(diskHits) / float64(len(instances))
+	diskRate := float64(diskHits) / float64(reps*len(instances))
 	isoRate := float64(isoHits) / float64(len(instances))
 	speedup := float64(coldP99) / float64(warmP99)
 	t.Logf("cold p99 %v (%s), warm p99 %v (%s), %.1fx; disk hit rate %.2f, isomorphic hit rate %.2f",

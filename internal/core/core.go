@@ -17,11 +17,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
@@ -434,8 +435,7 @@ func compileATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Options,
 // cache c, appending to b. Each region's pattern build is wrapped in an
 // "ata.region" span under parent (nil trace = no spans).
 func runATARegions(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache, tr *obs.Trace, parent *obs.Span) error {
-	regions := detectRegions(st)
-	for _, r := range regions {
+	for _, r := range detectRegions(st, new(regionBuf)) {
 		if err := swapnet.ATATraced(st, r, builderEmit(b, angle), c, tr, parent); err != nil {
 			return err
 		}
@@ -483,13 +483,19 @@ func builderEmit(b *circuit.Builder, angle float64) swapnet.EmitFunc {
 // (the snake fallback of a grid region can touch qubits outside the
 // region), and the overlap merge below depends on the order it starts
 // from.
-func detectRegions(st *swapnet.State) []arch.Region {
+//
+// The returned regions live in rb, as do the buffers, so a caller that
+// reuses rb allocates nothing once they have grown; the regions stay valid
+// until rb's next use.
+func detectRegions(st *swapnet.State, rb *regionBuf) []arch.Region {
 	if st.Want.Empty() {
 		return nil
 	}
 	n := len(st.L2P)
-	buf := make([]int, 4*n+1)
+	buf := slices.Grow(rb.ints[:0], 4*n+1)[:4*n+1]
+	rb.ints = buf
 	size, end, phys := buf[n:2*n], buf[2*n:3*n+1], buf[3*n+1:]
+	clear(end)
 	var uf graph.UnionFind
 	uf.Init(buf[:n], size)
 	st.Want.Each(func(e graph.Edge) { uf.Union(e.U, e.V) })
@@ -514,7 +520,7 @@ func detectRegions(st *swapnet.State) []arch.Region {
 			end[r]++
 		}
 	}
-	regions := make([]arch.Region, 0, comps)
+	regions := slices.Grow(rb.regions[:0], comps)
 	lo := 0
 	for r := 0; r < n; r++ {
 		if hi := end[r]; hi > lo {
@@ -538,35 +544,31 @@ func detectRegions(st *swapnet.State) []arch.Region {
 		}
 		if !merged {
 			sortRegions(regions)
+			rb.regions = regions
 			return regions
 		}
 	}
+}
+
+// regionBuf is detectRegions' memory: the union-find and bucket arrays and
+// the region list.
+type regionBuf struct {
+	ints    []int
+	regions []arch.Region
 }
 
 // sortRegions orders regions lexicographically over their coordinates —
 // any total order works; this one keeps unit-space regions grouped before
 // path-space ones.
 func sortRegions(regions []arch.Region) {
-	sort.Slice(regions, func(i, j int) bool {
-		a, b := regions[i], regions[j]
+	slices.SortFunc(regions, func(a, b arch.Region) int {
 		if a.UsesPath != b.UsesPath {
-			return !a.UsesPath
+			if a.UsesPath {
+				return 1
+			}
+			return -1
 		}
-		if a.U0 != b.U0 {
-			return a.U0 < b.U0
-		}
-		if a.U1 != b.U1 {
-			return a.U1 < b.U1
-		}
-		if a.P0 != b.P0 {
-			return a.P0 < b.P0
-		}
-		if a.P1 != b.P1 {
-			return a.P1 < b.P1
-		}
-		if a.I0 != b.I0 {
-			return a.I0 < b.I0
-		}
-		return a.I1 < b.I1
+		return cmp.Or(cmp.Compare(a.U0, b.U0), cmp.Compare(a.U1, b.U1), cmp.Compare(a.P0, b.P0),
+			cmp.Compare(a.P1, b.P1), cmp.Compare(a.I0, b.I0), cmp.Compare(a.I1, b.I1))
 	})
 }

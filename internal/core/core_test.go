@@ -169,7 +169,7 @@ func TestRegionDetectionSeparatesComponents(t *testing.T) {
 	p.AddEdge(3, 5)
 	mapping := []int{0, 1, 6, 28, 29, 34} // corner (0,0)-ish and (4,4)-ish
 	st := swapnet.NewStateFromMapping(a, mapping, swapnet.NewEdgeSet(p))
-	regions := detectRegions(st)
+	regions := detectRegions(st, new(regionBuf))
 	if len(regions) != 2 {
 		t.Fatalf("expected 2 regions, got %d: %+v", len(regions), regions)
 	}
@@ -184,7 +184,7 @@ func TestRegionDetectionMergesOverlaps(t *testing.T) {
 	// Three pairs stacked in the same columns: overlapping rectangles.
 	mapping := []int{0, 7, 1, 8, 2, 9}
 	st := swapnet.NewStateFromMapping(a, mapping, swapnet.NewEdgeSet(p))
-	regions := detectRegions(st)
+	regions := detectRegions(st, new(regionBuf))
 	if len(regions) != 1 {
 		t.Fatalf("expected 1 merged region, got %d", len(regions))
 	}

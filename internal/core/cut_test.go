@@ -15,13 +15,13 @@ import (
 	"github.com/ata-pattern/ataqc/internal/swapnet"
 )
 
-// uncutScore is the oracle of scoreCheckpoint: every region's pattern runs
+// uncutScore is the oracle of predictor.score: every region's pattern runs
 // to its end, uncached, and the totals fold exactly as the selector
 // defines them (region cycles in parallel, the straggler pass after).
 func uncutScore(h *hybridEval, cp checkpoint, want *swapnet.EdgeSet) (float64, bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
 	var out prediction
-	for _, r := range detectRegions(st) {
+	for _, r := range detectRegions(st, new(regionBuf)) {
 		cnt := oracleCount(h, st, r)
 		if cnt == nil {
 			return 0, false
@@ -112,6 +112,7 @@ func checkCutMatchesUncut(t *testing.T, c cutCase) (cuts, winner int) {
 	}
 	h := newHybridEval(c.a, c.p, g, opts, newBudget(context.Background(), time.Now(), opts, nil), newRecorder(nil))
 	want := swapnet.NewEdgeSet(c.p)
+	pr := h.newPredictor()
 	bestCut, bestOracle := -1, -1
 	fCut, fOracle := 1.0, 1.0
 	prev := 0
@@ -121,7 +122,7 @@ func checkCutMatchesUncut(t *testing.T, c cutCase) (cuts, winner int) {
 		if want.Empty() {
 			continue
 		}
-		f, ok, cut := h.scoreCheckpoint(cp, want.Clone())
+		f, ok, cut := pr.score(cp, want.Clone())
 		of, ook := uncutScore(h, cp, want.Clone())
 		if ok != ook {
 			t.Fatalf("%v checkpoint %d: cut scorer ok=%v, oracle ok=%v", c, i, ok, ook)

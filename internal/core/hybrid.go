@@ -175,7 +175,7 @@ func newHybridEval(a *arch.Arch, problem *graph.Graph, g *greedy.Result, opts Op
 	return h
 }
 
-// scoreCheckpoint runs one ATA prediction from cp's mapping over want and
+// score runs one ATA prediction from cp's mapping over want and
 // returns the selector cost F (§6.4), charging the budget with the
 // prediction's pattern cycles. ok=false means the pattern declined the
 // region (the checkpoint is evaluated but is no candidate). The score is
@@ -191,12 +191,13 @@ func newHybridEval(a *arch.Arch, problem *graph.Graph, g *greedy.Result, opts Op
 // same rule while they run (the predictor is the State's Bound). Without
 // noise the predictor also takes line runs as counted rounds (it is the
 // State's Rounds sink), which fold into the same sums.
-func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok, cut bool) {
+func (p *predictor) score(cp checkpoint, want *swapnet.EdgeSet) (f float64, ok, cut bool) {
+	h := p.h
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
-	p := predictor{h: h, cp: cp, st: st, nPhys: h.a.N()}
-	st.Bound = &p
+	p.cp, p.st, p.done, p.cur, p.straggler = cp, st, prediction{}, prediction{}, false
+	st.Bound = p
 	if h.lfTab == nil {
-		st.Rounds = &p
+		st.Rounds = p
 	}
 	if err := p.run(); err != nil {
 		return 0, false, false
@@ -260,6 +261,7 @@ func (h *hybridEval) predict(cps []checkpoint, stats *Stats, parent *obs.Span) (
 				wspan := h.rec.tr.StartSpan(parent, "worker", obs.Int("worker", w))
 				wspan.SetLane(w)
 				defer wspan.End()
+				p := h.newPredictor()
 				for j := range jobs {
 					pick := h.rec.clock.Now()
 					if berr := h.bud.interrupt(); berr != nil {
@@ -274,7 +276,7 @@ func (h *hybridEval) predict(cps []checkpoint, stats *Stats, parent *obs.Span) (
 					cp := cps[j.i]
 					sp := h.rec.tr.StartSpan(wspan, "predictATA",
 						obs.Int("prefix", cp.prefixLen), obs.Int("cycle", cp.cycle))
-					f, ok, cut := h.scoreCheckpoint(cp, j.want)
+					f, ok, cut := p.score(cp, j.want)
 					end := h.rec.clock.Now()
 					sp.SetAttrs(obs.F64("cost", f), obs.Bool("scored", ok), obs.Bool("cut", cut))
 					sp.End()
@@ -363,6 +365,9 @@ type prediction struct {
 // folds finished regions into done, and after every step stops st once
 // the running selector cost reaches 1. As st's swapnet.Bound it prices the
 // grid dual's candidates the same way in shadow, one per scratch slot.
+//
+// A predictor scores one checkpoint at a time and keeps its region buffers
+// from one to the next, so each prediction worker has its own.
 type predictor struct {
 	h         *hybridEval
 	cp        checkpoint
@@ -371,14 +376,18 @@ type predictor struct {
 	done, cur prediction
 	shadow    [2]prediction
 	straggler bool // cur is the full-device pass after the regions
+	regions   regionBuf
 }
+
+// newPredictor returns a predictor of h's checkpoints.
+func (h *hybridEval) newPredictor() *predictor { return &predictor{h: h, nPhys: h.a.N()} }
 
 // run predicts every detected region, then a full-device pass over the
 // edges the regions left, until the sink stops st. done holds the
 // prediction (a partial one when cut).
 func (p *predictor) run() error {
 	st, c := p.st, p.h.opts.PatternCache
-	for _, r := range detectRegions(st) {
+	for _, r := range detectRegions(st, &p.regions) {
 		p.cur = prediction{}
 		if err := swapnet.ATAWithCache(st, r, p.emit, c); err != nil {
 			return err

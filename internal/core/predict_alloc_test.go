@@ -13,11 +13,11 @@ import (
 	"github.com/ata-pattern/ataqc/internal/swapnet"
 )
 
-// predictFixture returns the selector context of a hybrid compile of p on
-// a (under noise model nm, nil for none), its middle greedy checkpoint
-// and that checkpoint's want set, with the pattern cache warmed by
-// scoring the checkpoint once.
-func predictFixture(tb testing.TB, a *arch.Arch, p *graph.Graph, nm *noise.Model) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
+// predictFixture returns a predictor of a hybrid compile of p on a (under
+// noise model nm, nil for none), its middle greedy checkpoint and that
+// checkpoint's want set, with the pattern cache and the predictor's
+// buffers warmed by scoring the checkpoint once.
+func predictFixture(tb testing.TB, a *arch.Arch, p *graph.Graph, nm *noise.Model) (*predictor, checkpoint, *swapnet.EdgeSet) {
 	tb.Helper()
 	opts := Options{Workers: 1, Noise: nm, PatternCache: swapnet.NewPatternCache(0)}
 	opts.applyDefaults()
@@ -39,24 +39,25 @@ func predictFixture(tb testing.TB, a *arch.Arch, p *graph.Graph, nm *noise.Model
 	cp := cps[len(cps)/2]
 	want := swapnet.NewEdgeSet(p)
 	removeScheduled(want, g.Circuit.Gates[:cp.prefixLen])
-	if _, ok, _ := h.scoreCheckpoint(cp, want.Clone()); !ok {
+	pr := h.newPredictor()
+	if _, ok, _ := pr.score(cp, want.Clone()); !ok {
 		tb.Fatal("checkpoint not scored")
 	}
-	return h, cp, want
+	return pr, cp, want
 }
 
 // gridFixture is a grid-64/ER-0.5 checkpoint.
-func gridFixture(tb testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
+func gridFixture(tb testing.TB) (*predictor, checkpoint, *swapnet.EdgeSet) {
 	return predictFixture(tb, arch.GridN(64), graph.GnpConnected(64, 0.5, rand.New(rand.NewSource(1))), nil)
 }
 
 // TestPredictCheckpointAllocs pins the allocation cost of scoring one
 // checkpoint from a warm pattern cache, want-set clone included, so a
 // map, closure or per-step slice creeping back into the prediction loop
-// fails here. The patterns themselves allocate nothing; what remains is
-// the per-checkpoint State and want-set copy, the predictor and region
-// detection's one buffer and region list. Each ceiling is the count
-// measured when it was last lowered.
+// fails here. The patterns, the predictor and region detection reuse
+// their memory; what remains is the per-checkpoint State (its struct and
+// two mappings) and the want-set copy (struct and bits). Each ceiling is
+// the count measured when it was last lowered.
 func TestPredictCheckpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation and pool semantics skew allocation counts")
@@ -64,18 +65,18 @@ func TestPredictCheckpointAllocs(t *testing.T) {
 	hh := arch.HeavyHexN(64)
 	cases := []struct {
 		name    string
-		fixture func(testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet)
+		fixture func(testing.TB) (*predictor, checkpoint, *swapnet.EdgeSet)
 		ceiling float64
 	}{
-		{"grid-64/er-0.5", gridFixture, 10},
-		{"heavy-hex-64/er-0.3/noise", func(tb testing.TB) (*hybridEval, checkpoint, *swapnet.EdgeSet) {
+		{"grid-64/er-0.5", gridFixture, 5},
+		{"heavy-hex-64/er-0.3/noise", func(tb testing.TB) (*predictor, checkpoint, *swapnet.EdgeSet) {
 			return predictFixture(tb, hh, graph.GnpConnected(64, 0.3, rand.New(rand.NewSource(1))), noise.Synthetic(hh, 1))
-		}, 10},
+		}, 5},
 	}
 	for _, c := range cases {
-		h, cp, want := c.fixture(t)
+		p, cp, want := c.fixture(t)
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, ok, _ := h.scoreCheckpoint(cp, want.Clone()); !ok {
+			if _, ok, _ := p.score(cp, want.Clone()); !ok {
 				t.Fatal("checkpoint not scored")
 			}
 		})
@@ -89,11 +90,11 @@ func TestPredictCheckpointAllocs(t *testing.T) {
 // BenchmarkPredictCheckpoint times scoring one grid-64/ER-0.5 checkpoint
 // from a warm pattern cache.
 func BenchmarkPredictCheckpoint(b *testing.B) {
-	h, cp, want := gridFixture(b)
+	p, cp, want := gridFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		predictSink, _, _ = h.scoreCheckpoint(cp, want.Clone())
+		predictSink, _, _ = p.score(cp, want.Clone())
 	}
 }
 

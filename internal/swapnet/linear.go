@@ -108,7 +108,7 @@ func linear(st *State, lines [][]int, opts linearOpts, emit EmitFunc) {
 }
 
 // lineSlot is a logical's place in a counted line run: its line (-1 when
-// it is on none) and its position there when the run starts.
+// it is on none) and its virtual slot there when the run starts.
 type lineSlot struct{ line, pos int32 }
 
 // countLinear is linear for a noise-free sink that takes counted rounds.
@@ -122,9 +122,9 @@ type lineSlot struct{ line, pos int32 }
 //   - the logical at position p of a line of length L rides a cycle of 2L
 //     virtual slots, v = p for even p and 2L-1-p for odd p: after k rounds
 //     it sits at slot v+k mod 2L, and slot x >= L is position 2L-1-x.
-//     Every starting slot is even, so with c = v/2 two logicals meet in
-//     round k exactly when c_u+c_v+k = L-1 mod L: first in round
-//     (L-1-c_u-c_v) mod L, then every L rounds;
+//     Every starting slot is even, so two logicals meet in round k exactly
+//     when (v_u+v_v)/2+k = L-1 mod L: first in round
+//     (L-1-(v_u+v_v)/2) mod L, then every L rounds;
 //   - the scope is exhausted after the latest first meeting of its pairs,
 //     and never while it holds a pair that is not wanted, not on one line,
 //     or meets only after the last round.
@@ -140,19 +140,24 @@ func (st *State) countLinear(lines [][]int, rounds int, preserveDynamics bool, s
 		return
 	}
 	b := st.scratch()
-	b.startCount(st, lines)
-	defer b.endCount(st, lines)
+	b.startCount(st, lines, false)
+	b.among.start(st, lines)
+	defer func() {
+		b.endCount(st, lines)
+		b.among.end()
+	}()
 	var pairs [2]int // pairs per round parity
 	for _, ln := range lines {
 		pairs[0] += len(ln) / 2
 		pairs[1] += max(len(ln)-1, 0) / 2
 	}
+	meet := func(e graph.Edge) int { return b.meeting(e, lines, rounds) }
 	// live is the latest first meeting among the scope pairs scanned so
 	// far; the scan goes only as far as the current round needs.
 	live, at, end := -1, 0, rounds
 	for k := 0; k < rounds; k++ {
 		for live < k {
-			m, ok := st.nextMeeting(sc, &at, lines, rounds)
+			m, ok := st.nextMeeting(sc, &at, rounds, meet)
 			if !ok {
 				break
 			}
@@ -170,47 +175,48 @@ func (st *State) countLinear(lines [][]int, rounds int, preserveDynamics bool, s
 			return
 		}
 	}
-	it := &b.among
+	st.removeMet(sc, end, meet)
+	moved := end
+	if end == rounds && !preserveDynamics {
+		moved = rounds - 1 // the last round swaps nothing
+	}
+	for _, ln := range lines {
+		st.permuteLine(ln, moved, 0)
+	}
+}
+
+// nextMeeting returns meet of the scope's next pair, the round it first
+// meets in, or never when it is not wanted. Without a caller scope the
+// run's scope is the wanted pairs the started walk yields; a caller scope
+// is read from bit *at on, and a pair of it that is not wanted is never
+// computed, so it never meets.
+func (st *State) nextMeeting(sc *scope, at *int, never int, meet func(graph.Edge) int) (int, bool) {
+	var e graph.Edge
+	var ok bool
+	if sc == nil {
+		e, ok = st.scr.among.next()
+	} else if e, *at, ok = sc.rel.next(*at); ok && !st.Want.Has(e) {
+		return never, true
+	}
+	if !ok {
+		return 0, false
+	}
+	return meet(e), true
+}
+
+// removeMet removes the walked pairs whose meet is before round end from
+// the want set and from sc.
+func (st *State) removeMet(sc *scope, end int, meet func(graph.Edge) int) {
+	it := &st.scr.among
 	it.rewind()
 	for e, ok := it.next(); ok; e, ok = it.next() {
-		if b.meeting(e, lines, rounds) < end {
+		if meet(e) < end {
 			st.Want.Remove(e)
 			if sc != nil {
 				sc.computed(e)
 			}
 		}
 	}
-	moved := end
-	if end == rounds && !preserveDynamics {
-		moved = rounds - 1 // the last round swaps nothing
-	}
-	for _, ln := range lines {
-		st.permuteLine(ln, moved)
-	}
-}
-
-// nextMeeting returns the first meeting round of the scope's next pair, or
-// rounds when it never meets. Without a caller scope the run's scope is
-// the wanted pairs on the lines, which the started walk yields; a caller
-// scope is read from bit *at on, and a pair of it that is not wanted is
-// never computed, so it never meets.
-func (st *State) nextMeeting(sc *scope, at *int, lines [][]int, rounds int) (int, bool) {
-	b := st.scr
-	if sc == nil {
-		e, ok := b.among.next()
-		if !ok {
-			return 0, false
-		}
-		return b.meeting(e, lines, rounds), true
-	}
-	e, resume, ok := sc.rel.next(*at)
-	if !ok {
-		return 0, false
-	}
-	if *at = resume; !st.Want.Has(e) {
-		return rounds, true
-	}
-	return b.meeting(e, lines, rounds), true
 }
 
 // countRound folds a counted round of cx CX into st's sink, or into its
@@ -224,9 +230,12 @@ func (st *State) countRound(cx int) bool {
 	return st.stopped
 }
 
-// startCount records each line occupant's line and position, and starts
-// the walk over the wanted pairs on the lines.
-func (b *scratch) startCount(st *State, lines [][]int) {
+// startCount records each line occupant's line and starting virtual
+// slot. Paired lines are a bipartite phase's rows, the A and then the B
+// row of each pair: both rows of a pair take the A row's line, and B's
+// slots are odd, as its rotations run one parity ahead of A's (see
+// countBipartite).
+func (b *scratch) startCount(st *State, lines [][]int, paired bool) {
 	if n := max(len(st.L2P), st.Want.n); len(b.slots) < n {
 		b.slots = make([]lineSlot, n)
 		for i := range b.slots {
@@ -234,17 +243,19 @@ func (b *scratch) startCount(st *State, lines [][]int) {
 		}
 	}
 	for li, ln := range lines {
+		line, s := li, 0
+		if paired {
+			line, s = li&^1, li&1
+		}
 		for i, p := range ln {
 			if l := st.P2L[p]; l >= 0 {
-				b.slots[l] = lineSlot{line: int32(li), pos: int32(i)}
+				b.slots[l] = lineSlot{line: int32(line), pos: int32(slot(i, len(ln), s))}
 			}
 		}
 	}
-	b.among.start(st, lines)
 }
 
-// endCount takes the line occupants off their slots again and ends the
-// walk.
+// endCount takes the line occupants off their slots again.
 func (b *scratch) endCount(st *State, lines [][]int) {
 	for _, ln := range lines {
 		for _, p := range ln {
@@ -253,7 +264,6 @@ func (b *scratch) endCount(st *State, lines [][]int) {
 			}
 		}
 	}
-	b.among.end()
 }
 
 // meeting returns the round in which the logicals of e first meet, or
@@ -264,27 +274,30 @@ func (b *scratch) meeting(e graph.Edge, lines [][]int, rounds int) int {
 		return rounds
 	}
 	n := len(lines[su.line])
-	m := n - 1 - halfSlot(int(su.pos), n) - halfSlot(int(sv.pos), n)
+	m := n - 1 - int(su.pos+sv.pos)/2
 	if m < 0 {
 		m += n
 	}
 	return min(m, rounds)
 }
 
-// halfSlot is c = v/2 of the starting virtual slot v of position p on a
-// line of length n (see countLinear).
-func halfSlot(p, n int) int {
-	if p%2 == 0 {
-		return p / 2
+// slot is the starting virtual slot of position p on a line of length n
+// whose first round swaps the pairs of parity s: p itself when p has
+// parity s, and 2n-1-p otherwise (see countLinear), so every starting
+// slot has parity s.
+func slot(p, n, s int) int {
+	if p%2 == s {
+		return p
 	}
-	return n - (p+1)/2
+	return 2*n - 1 - p
 }
 
 // origin returns the starting position of the logical at position x of a
-// line of length n after k rounds.
-func origin(x, n, k int) int {
-	v := x // the virtual slot at round k has k's parity
-	if (x-k)%2 != 0 {
+// line of length n after k rounds whose first swapped the pairs of
+// parity s.
+func origin(x, n, k, s int) int {
+	v := x // the virtual slot at round k has the parity of k+s
+	if (x-k-s)%2 != 0 {
 		v = 2*n - 1 - x
 	}
 	if v = (v - k) % (2 * n); v < 0 {
@@ -306,7 +319,7 @@ func (st *State) meetingIn(lines [][]int, k int) int {
 			continue
 		}
 		for x := k % 2; x+1 < n; x += 2 {
-			if _, ok := st.WantedPhys(ln[origin(x, n, k)], ln[origin(x+1, n, k)]); ok {
+			if _, ok := st.WantedPhys(ln[origin(x, n, k, 0)], ln[origin(x+1, n, k, 0)]); ok {
 				c++
 			}
 		}
@@ -315,12 +328,12 @@ func (st *State) meetingIn(lines [][]int, k int) int {
 }
 
 // permuteLine moves line ln's occupants to their positions after k
-// swapping rounds.
-func (st *State) permuteLine(ln []int, k int) {
+// swapping rounds, the first of which swapped the pairs of parity s.
+func (st *State) permuteLine(ln []int, k, s int) {
 	b := st.scr
 	occ := b.occ[:0]
 	for x := range ln {
-		occ = append(occ, st.P2L[ln[origin(x, len(ln), k)]])
+		occ = append(occ, st.P2L[ln[origin(x, len(ln), k, s)]])
 	}
 	for x, l := range occ {
 		st.P2L[ln[x]] = l

@@ -138,6 +138,28 @@ func (s *EdgeSet) Edges() []graph.Edge {
 	return out
 }
 
+// setAt adds the edges that m marks among the 64 bits from bit i; none of
+// them may be a member yet.
+func (s *EdgeSet) setAt(i int, m uint64) {
+	s.live += bits.OnesCount64(m)
+	wi, sh := i>>6, uint(i&63)
+	s.bits[wi] |= m << sh
+	if sh != 0 && wi+1 < len(s.bits) {
+		s.bits[wi+1] |= m >> (64 - sh)
+	}
+}
+
+// clearAt removes the members that m marks among the 64 bits from bit i;
+// each bit m marks must be a member.
+func (s *EdgeSet) clearAt(i int, m uint64) {
+	s.live -= bits.OnesCount64(m)
+	wi, sh := i>>6, uint(i&63)
+	s.bits[wi] &^= m << sh
+	if sh != 0 && wi+1 < len(s.bits) {
+		s.bits[wi+1] &^= m >> (64 - sh)
+	}
+}
+
 // Clone returns an independent copy.
 func (s *EdgeSet) Clone() *EdgeSet {
 	return &EdgeSet{n: s.n, bits: append([]uint64(nil), s.bits...), live: s.live}
@@ -279,10 +301,17 @@ type scratch struct {
 	cands  [2]pricer
 
 	// A counted line run's lines: each logical's line and starting
-	// position (line -1 when it is on none, as between uses), and one
-	// line's occupants after the run.
+	// virtual slot (line -1 when it is on none, as between uses), and one
+	// line's occupants after the run; a counted bipartite phase's paired
+	// rows, its wanted cross pairs per alignment cycle, the want bits of
+	// each row position's logical among its pair of rows (see scanPhase),
+	// and the two rows' logicals, one bit each (zero between uses).
 	slots []lineSlot
 	occ   []int
+	rows  [][]int
+	align []int
+	near  []uint64
+	masks []uint64
 
 	// The region and line buffers of the sycamore, hexagon and heavy-hex
 	// patterns: a region's qubits, the lines of one round cut from the
@@ -477,8 +506,8 @@ func newScope(st *State, phys ...[]int) *scope {
 	sc.rel.reset(st.Want.n)
 	it := &b.among
 	it.start(st, phys)
-	for e, ok := it.next(); ok; e, ok = it.next() {
-		sc.rel.add(e)
+	for it.refill() {
+		sc.rel.setAt(it.x*it.w.n+it.y0, it.chunk)
 	}
 	it.end()
 	return sc
